@@ -468,6 +468,10 @@ Result<std::vector<Frame>> GopDecoder::DecodeSlice(int64_t gop_start,
   std::vector<Frame> out;
   out.reserve(indices.size());
   size_t next = 0;
+  // Each distinct requested frame records its latency like a serial
+  // forward run would: the first includes the GOP seek, later ones the
+  // frames decoded since the previous request. Repeats record nothing.
+  Nanos mark_ns = SinceProcessStart();
   for (int64_t i = gop_start; i <= max_index; ++i) {
     if (i > gop_start && parsed_->index[static_cast<size_t>(i)].type == FrameType::kIntra) {
       return InvalidArgument(
@@ -475,6 +479,11 @@ Result<std::vector<Frame>> GopDecoder::DecodeSlice(int64_t gop_start,
                     static_cast<long long>(max_index), static_cast<long long>(i)));
     }
     SAND_RETURN_IF_ERROR(VideoDecoder::DecodeStep(*parsed_, i, cursor, *stats_));
+    if (next < indices.size() && indices[next] == i) {
+      Nanos now_ns = SinceProcessStart();
+      metrics.frame_latency_ns->Record(static_cast<uint64_t>(now_ns - mark_ns));
+      mark_ns = now_ns;
+    }
     while (next < indices.size() && indices[next] == i) {
       out.push_back(cursor);
       ++next;

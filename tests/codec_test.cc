@@ -7,6 +7,7 @@
 #include "src/codec/video_codec.h"
 #include "src/common/rng.h"
 #include "src/common/worker_pool.h"
+#include "src/obs/metrics.h"
 
 namespace sand {
 namespace {
@@ -307,6 +308,27 @@ TEST(GopDecoderTest, SharedStatsAccountLikeColdSerialWalk) {
   EXPECT_EQ(a.frames_decoded, b.frames_decoded);
   EXPECT_EQ(a.bytes_read, b.bytes_read);
   EXPECT_EQ(a.seeks, b.seeks);
+}
+
+TEST(GopDecoderTest, SliceRecordsFrameLatencyLikeSerial) {
+  // One latency sample per distinct requested frame on both paths; a
+  // repeated request does no decode work and records nothing.
+  obs::Histogram* latency = obs::Registry::Get().GetHistogram("sand.decode.frame_latency_ns");
+  auto container = EncodeVideo(16, 8);
+  std::vector<int64_t> indices = {9, 9, 12, 15, 15, 15};
+  auto serial = VideoDecoder::Open(container);
+  ASSERT_TRUE(serial.ok());
+  uint64_t before = latency->Count();
+  for (int64_t t : indices) {
+    ASSERT_TRUE(serial->DecodeFrame(t).ok());
+  }
+  const uint64_t serial_samples = latency->Count() - before;
+  EXPECT_EQ(serial_samples, 3u);
+  auto sliced = VideoDecoder::Open(container);
+  ASSERT_TRUE(sliced.ok());
+  before = latency->Count();
+  ASSERT_TRUE(sliced->SliceDecoder().DecodeSlice(8, indices).ok());
+  EXPECT_EQ(latency->Count() - before, serial_samples);
 }
 
 TEST(ParallelDecodeTest, MatchesSerialOnRandomizedIndexSets) {
