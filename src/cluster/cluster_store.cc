@@ -67,9 +67,7 @@ ClusterStore::ClusterStore(std::shared_ptr<ObjectStore> local_shard,
   ring_.SetMembership(std::move(names));
   peers_.reserve(options_.nodes.size());
   for (const ClusterNodeOptions& node : options_.nodes) {
-    auto peer = std::make_unique<Peer>();
-    peer->spec = node;
-    peers_.push_back(std::move(peer));
+    peers_.push_back(std::make_unique<Peer>(node, options_.fault_policy));
   }
 }
 
@@ -95,49 +93,7 @@ bool ClusterStore::NodeOnline(size_t node) const {
   if (IsSelf(node)) {
     return true;
   }
-  return !peers_[node]->offline.load(std::memory_order_relaxed);
-}
-
-bool ClusterStore::PeerAvailable(Peer& peer) const {
-  if (!peer.offline.load(std::memory_order_relaxed)) {
-    return true;
-  }
-  const Nanos now = WallClock::Get().Now();
-  Nanos probe_at = peer.probe_at.load(std::memory_order_relaxed);
-  while (now >= probe_at) {
-    // Claim the probe slot: one caller per reprobe interval tests the
-    // node; everyone else short-circuits to UNAVAILABLE (a cheap miss)
-    // instead of queueing on dial timeouts.
-    if (peer.probe_at.compare_exchange_weak(
-            probe_at, now + options_.fault_policy.reprobe_interval,
-            std::memory_order_relaxed)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-void ClusterStore::NotePeerResult(Peer& peer, bool healthy) const {
-  if (healthy) {
-    peer.failure_streak.store(0, std::memory_order_relaxed);
-    if (peer.offline.exchange(false, std::memory_order_relaxed)) {
-      SAND_LOG(kInfo) << "cluster node '" << peer.spec.name << "' back online";
-    }
-    return;
-  }
-  const int streak = peer.failure_streak.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (streak >= options_.fault_policy.offline_threshold &&
-      !peer.offline.exchange(true, std::memory_order_relaxed)) {
-    peer.probe_at.store(WallClock::Get().Now() + options_.fault_policy.reprobe_interval,
-                        std::memory_order_relaxed);
-    SAND_LOG(kWarning) << "cluster node '" << peer.spec.name << "' marked offline after "
-                       << streak << " consecutive failures; its shard degrades to "
-                          "local recompute";
-  } else if (peer.offline.load(std::memory_order_relaxed)) {
-    // A failed probe: push the next probe out a full interval.
-    peer.probe_at.store(WallClock::Get().Now() + options_.fault_policy.reprobe_interval,
-                        std::memory_order_relaxed);
-  }
+  return !peers_[node]->breaker.offline();
 }
 
 Result<std::unique_ptr<net::SandClient>> ClusterStore::AcquireClient(Peer& peer) {
@@ -170,7 +126,9 @@ auto ClusterStore::PeerCall(size_t node, Fn&& fn)
     -> decltype(fn(std::declval<net::SandClient&>())) {
   using R = decltype(fn(std::declval<net::SandClient&>()));
   Peer& peer = *peers_[node];
-  if (!PeerAvailable(peer)) {
+  // An offline node short-circuits to UNAVAILABLE (a cheap miss) instead
+  // of queueing every caller on dial timeouts.
+  if (!peer.breaker.Allow()) {
     return R(Unavailable("cluster node '" + peer.spec.name + "' is offline"));
   }
   SAND_SPAN("cluster_peer_call");
@@ -186,7 +144,9 @@ auto ClusterStore::PeerCall(size_t node, Fn&& fn)
         // pre-cluster build): the node is healthy and the connection is
         // reusable. Only transport failures feed the breaker.
         ReleaseClient(peer, std::move(*client));
-        NotePeerResult(peer, true);
+        if (peer.breaker.Note(true) == CircuitBreaker::Transition::kRecovered) {
+          SAND_LOG(kInfo) << "cluster node '" << peer.spec.name << "' back online";
+        }
         return result;
       }
       // UNAVAILABLE poisons the pipelined client; drop it and redial.
@@ -196,7 +156,11 @@ auto ClusterStore::PeerCall(size_t node, Fn&& fn)
     }
     if (attempt >= options_.fault_policy.max_retries) {
       peer.errors.fetch_add(1, std::memory_order_relaxed);
-      NotePeerResult(peer, false);
+      if (peer.breaker.Note(false) == CircuitBreaker::Transition::kTripped) {
+        SAND_LOG(kWarning) << "cluster node '" << peer.spec.name << "' marked offline after "
+                           << peer.breaker.failure_streak()
+                           << " consecutive failures; its shard degrades to local recompute";
+      }
       return R(Unavailable("cluster node '" + peer.spec.name +
                            "' unreachable: " + transport.message()));
     }
@@ -357,7 +321,7 @@ std::string ClusterStore::HealthJson() const {
     AppendJsonString(out, EndpointOf(peer.spec));
     out << ", \"self\": " << (IsSelf(i) ? "true" : "false");
     out << ", \"online\": " << (NodeOnline(i) ? "true" : "false");
-    out << ", \"failure_streak\": " << peer.failure_streak.load(std::memory_order_relaxed);
+    out << ", \"failure_streak\": " << peer.breaker.failure_streak();
     out << ", \"requests\": " << peer.requests.load(std::memory_order_relaxed);
     out << ", \"errors\": " << peer.errors.load(std::memory_order_relaxed);
     out << ", \"bytes_fetched\": " << peer.bytes_fetched.load(std::memory_order_relaxed);

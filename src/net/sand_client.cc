@@ -22,74 +22,45 @@ Result<std::unique_ptr<SandClient>> SandClient::Connect(const Options& options) 
   if (options.tenant.empty()) {
     return InvalidArgument("SandClient::Connect: tenant tag is required");
   }
-  uint16_t offer = options.protocol_version;
-  if (offer < kMinProtocolVersion || offer > kProtocolVersion) {
-    return InvalidArgument("SandClient::Connect: unsupported protocol version " +
-                           std::to_string(offer));
+  SAND_ASSIGN_OR_RETURN(int socket_fd, options.unix_path.empty()
+                                           ? ConnectTcp(options.host, options.port)
+                                           : ConnectUnix(options.unix_path));
+  // The HELLO carries no request id: it is the message that carries the
+  // version, so the server parses it before anything else.
+  std::vector<uint8_t> hello = RequestHead(Command::kHello);
+  PutU16(hello, kProtocolVersion);
+  PutString(hello, options.tenant);
+  std::vector<uint8_t> response;
+  if (!WriteFrame(socket_fd, hello) || !ReadFrame(socket_fd, response)) {
+    ::close(socket_fd);
+    return Unavailable("server connection lost during HELLO");
   }
-  for (;;) {
-    Result<int> socket_fd = options.unix_path.empty()
-                                ? ConnectTcp(options.host, options.port)
-                                : ConnectUnix(options.unix_path);
-    if (!socket_fd.ok()) {
-      return socket_fd.status();
-    }
-
-    // The HELLO exchange is always v1-shaped (no request id): it is the
-    // message that carries the version, so it must parse before either
-    // side knows what the other speaks.
-    std::vector<uint8_t> hello = RequestHead(Command::kHello);
-    PutU16(hello, offer);
-    PutString(hello, options.tenant);
-    std::vector<uint8_t> response;
-    if (!WriteFrame(*socket_fd, hello) || !ReadFrame(*socket_fd, response)) {
-      ::close(*socket_fd);
-      return Unavailable("server connection lost during HELLO");
-    }
-    Status status = DecodeResponseStatus(response);
-    if (!status.ok()) {
-      ::close(*socket_fd);
-      // A pre-pipelining server rejects version 2 outright; negotiate down
-      // once and redial rather than surfacing its refusal. The refusal is
-      // recognized structurally by the kVersionRefusedTag prefix tagged
-      // servers put on the message; the "protocol version" substring match
-      // stays only as a fallback for servers from before the tag existed,
-      // whose message wording is frozen.
-      bool version_refused =
-          status.message().rfind(kVersionRefusedTag, 0) == 0 ||
-          status.message().find("protocol version") != std::string::npos;
-      if (status.code() == ErrorCode::kInvalidArgument &&
-          offer > kMinProtocolVersion && version_refused) {
-        offer = kMinProtocolVersion;
-        continue;
-      }
-      return status;
-    }
-    WireReader reader(response);
-    (void)reader.TakeU8();  // status head, already checked
-    auto tenant_id = reader.TakeU32();
-    if (!tenant_id.ok()) {
-      ::close(*socket_fd);
-      return tenant_id.status();
-    }
-    // Servers that negotiate append the agreed version; its absence means
-    // a v1 server that simply accepted our v1 HELLO.
-    uint16_t negotiated = kMinProtocolVersion;
-    if (reader.remaining() >= 2) {
-      negotiated = *reader.TakeU16();
-    }
-    if (negotiated > offer) {
-      ::close(*socket_fd);
-      return Internal("server negotiated protocol version " +
-                      std::to_string(negotiated) + " above our offer " +
-                      std::to_string(offer));
-    }
-    std::unique_ptr<SandClient> client(new SandClient(*socket_fd, negotiated));
-    client->tenant_id_ = *tenant_id;
-    client->max_inflight_ = options.max_inflight;
-    client->StartReader();
-    return client;
+  Status status = DecodeResponseStatus(response);
+  if (!status.ok()) {
+    ::close(socket_fd);
+    return status;
   }
+  WireReader reader(response);
+  (void)reader.TakeU8();  // status head, already checked
+  auto tenant_id = reader.TakeU32();
+  if (!tenant_id.ok()) {
+    ::close(socket_fd);
+    return tenant_id.status();
+  }
+  // The server must agree to our version; an ok HELLO without one, or
+  // with another, comes from a server whose frames we cannot parse.
+  auto agreed = reader.TakeU16();
+  if (!agreed.ok() || *agreed != kProtocolVersion) {
+    ::close(socket_fd);
+    return Internal("server did not agree to protocol version " +
+                    std::to_string(kProtocolVersion) + " (answered " +
+                    (agreed.ok() ? std::to_string(*agreed) : std::string("none")) + ")");
+  }
+  std::unique_ptr<SandClient> client(new SandClient(socket_fd));
+  client->tenant_id_ = *tenant_id;
+  client->max_inflight_ = options.max_inflight;
+  client->StartReader();
+  return client;
 }
 
 SandClient::~SandClient() {
@@ -124,16 +95,15 @@ void SandClient::ReaderLoop() {
   Status failure = Unavailable("server connection lost");
   std::vector<uint8_t> frame;
   while (ReadFrame(socket_fd_, frame)) {
+    WireReader reader(frame);
+    auto id = reader.TakeU64();
+    if (!id.ok()) {
+      failure = Unavailable("malformed response frame: missing request id");
+      break;
+    }
+    std::vector<uint8_t> payload = reader.TakeRest();
     Promise<std::vector<uint8_t>> promise;
-    std::vector<uint8_t> payload;
-    if (version_ >= 2) {
-      WireReader reader(frame);
-      auto id = reader.TakeU64();
-      if (!id.ok()) {
-        failure = Unavailable("malformed response frame: missing request id");
-        break;
-      }
-      payload = reader.TakeRest();
+    {
       std::lock_guard<std::mutex> lock(mutex_);
       auto it = pending_.find(*id);
       if (it == pending_.end()) {
@@ -143,18 +113,6 @@ void SandClient::ReaderLoop() {
                               std::to_string(*id) + "; stream desynchronized");
         break;
       }
-      promise = std::move(it->second);
-      pending_.erase(it);
-    } else {
-      // v1 has no ids; a serial server answers strictly in request order,
-      // so the oldest pending request owns this response.
-      payload = std::move(frame);
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (pending_.empty()) {
-        failure = Unavailable("unsolicited response; stream desynchronized");
-        break;
-      }
-      auto it = pending_.begin();
       promise = std::move(it->second);
       pending_.erase(it);
     }
@@ -198,10 +156,8 @@ Future<std::vector<uint8_t>> SandClient::Issue(std::vector<uint8_t> request) {
     } else {
       uint64_t id = next_request_id_++;
       std::vector<uint8_t> frame;
-      if (version_ >= 2) {
-        frame.reserve(request.size() + 8);
-        PutU64(frame, id);
-      }
+      frame.reserve(request.size() + 8);
+      PutU64(frame, id);
       frame.insert(frame.end(), request.begin(), request.end());
       // Register before writing: the response cannot legally outrun an
       // entry the reader can match it to.

@@ -260,9 +260,9 @@ void SandServer::ServeConnection(Connection* conn) {
       conn->last_active_ns.store(static_cast<int64_t>(SinceProcessStart()));
     }
     WireReader reader(request);
-    // Request ids exist only after a v2 HELLO; the HELLO frame itself is
-    // always v1-shaped so the version parses before negotiation.
-    const bool has_id = conn->tenant_id != 0 && conn->protocol_version >= 2;
+    // Request ids exist only after an ok HELLO; the HELLO frame itself
+    // carries none so the version parses first.
+    const bool has_id = conn->tenant_id != 0;
     uint64_t request_id = 0;
     if (has_id) {
       auto id = reader.TakeU64();
@@ -433,12 +433,6 @@ void SandServer::ServeConnection(Connection* conn) {
       }
       continue;
     }
-    if (conn->protocol_version < 2) {
-      // v1 contract: strictly serial, responses in request order. Waiting
-      // here also makes the client-side FIFO demux sound.
-      std::unique_lock<std::mutex> lock(conn->inflight_mutex);
-      conn->inflight_cv.wait(lock, [conn] { return conn->inflight == 0; });
-    }
   }
 
   // Drain: pipelined dispatches still hold this connection's state (and
@@ -512,18 +506,11 @@ std::vector<uint8_t> SandServer::HandleHello(Connection* conn, WireReader& reade
   if (!version.ok()) {
     return EncodeErrorResponse(version.status());
   }
-  if (*version < kMinProtocolVersion) {
-    // The tag prefix is the machine-readable part: clients deciding
-    // whether to re-dial at another version match it structurally, so the
-    // human-readable text after it can be reworded freely.
+  if (*version < kProtocolVersion) {
     return EncodeErrorResponse(InvalidArgument(
-        std::string(kVersionRefusedTag) +
-        "protocol version mismatch: server speaks " +
-        std::to_string(kMinProtocolVersion) + ".." +
-        std::to_string(kProtocolVersion) + ", client sent " +
-        std::to_string(*version)));
+        "protocol version mismatch: server speaks " + std::to_string(kProtocolVersion) +
+        ", client sent " + std::to_string(*version)));
   }
-  uint16_t negotiated = std::min<uint16_t>(*version, kProtocolVersion);
   auto tag = reader.TakeString();
   if (!tag.ok()) {
     return EncodeErrorResponse(tag.status());
@@ -562,14 +549,14 @@ std::vector<uint8_t> SandServer::HandleHello(Connection* conn, WireReader& reade
   }
   conn->tenant_id = id;
   conn->tenant_tag = *tag;
-  conn->protocol_version = negotiated;
   if (obs::TenantMetrics* metrics = obs::TenantMetricsFor(id)) {
     metrics->sessions->Add(1);
   }
   std::vector<uint8_t> response = EncodeOkHead();
   PutU32(response, id);
-  // Appended after the v1 payload: old clients stop reading before it.
-  PutU16(response, negotiated);
+  // The agreed version, min(offer, ours) = ours since lower offers were
+  // refused: a newer client that cannot speak it hangs up.
+  PutU16(response, kProtocolVersion);
   return response;
 }
 

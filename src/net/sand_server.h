@@ -8,16 +8,14 @@
 // every fd it opens is owned by the connection and force-closed when it
 // disconnects, so a trainer crash mid-materialize leaks nothing.
 //
-// Pipelining: HELLO negotiates a protocol version. v2 connections carry a
-// u64 request id on every frame; the per-connection reader thread
-// admission-checks each request and hands it to the shared worker pool
-// immediately, so many requests from one connection execute concurrently
-// and responses are written *out of order, as they complete* (a
-// per-connection write mutex keeps frames atomic; bulk ReadAllShared
-// payloads leave via scatter-gather writes straight from the cache's
-// SharedBytes, no frame-assembly copy). v1 connections keep the strict
-// serial contract: one request dispatched at a time, responses in order —
-// old clients work unchanged against a pipelined server.
+// Pipelining: HELLO checks the protocol version (a lower offer is refused
+// with INVALID_ARGUMENT). Every frame after it carries a u64 request id;
+// the per-connection reader thread admission-checks each request and
+// hands it to the shared worker pool immediately, so many requests from
+// one connection execute concurrently and responses are written *out of
+// order, as they complete* (a per-connection write mutex keeps frames
+// atomic; bulk ReadAllShared payloads leave via scatter-gather writes
+// straight from the cache's SharedBytes, no frame-assembly copy).
 //
 // Tenancy:
 //   - HELLO interns the tag in obs::TenantRegistry; the dense id rides
@@ -186,8 +184,8 @@ class SandServer {
     std::atomic<bool> done{false};
 
     // Set once by HandleHello on the reader thread before any concurrent
-    // dispatch exists; read-only afterwards.
-    uint16_t protocol_version = 1;
+    // dispatch exists; read-only afterwards. Nonzero = authenticated, and
+    // from then on every frame carries a request id.
     uint32_t tenant_id = 0;
     std::string tenant_tag;
 
@@ -226,8 +224,8 @@ class SandServer {
   // request pool for data verbs.
   WireResponse Dispatch(Connection* conn, Command command, WireReader& reader);
 
-  // Frames and writes one response (request id prepended on v2) under the
-  // connection's write mutex.
+  // Frames and writes one response (request id prepended when the request
+  // carried one) under the connection's write mutex.
   bool WriteResponse(Connection* conn, bool has_id, uint64_t request_id,
                      const WireResponse& response);
 

@@ -6,21 +6,17 @@
 //
 //   frame    : u32 length | payload          (length caps at kMaxFrameBytes)
 //
-// Two payload shapes, negotiated per connection at HELLO:
+// One payload shape, pipelined (any number of requests outstanding per
+// connection, responses in completion order):
 //
-//   v1 (serial — strict request/response, one outstanding per connection)
-//     request  : u8 command | command body
-//     response : u8 status (ErrorCode; 0 = ok) | ok body or error message
+//   request  : u64 request_id | u8 command | command body
+//   response : u64 request_id | u8 status (ErrorCode; 0 = ok) | ok body or error message
 //
-//   v2 (pipelined — any number outstanding, responses out of order)
-//     request  : u64 request_id | u8 command | command body
-//     response : u64 request_id | u8 status | ok body or error message
-//
-// The HELLO exchange itself is always v1-shaped (it is what carries the
-// version), so a server can parse it before knowing what the client
-// speaks; the negotiated version (min of both sides) governs every frame
-// after the ok HELLO response. Request ids are client-assigned and only
-// need to be unique among that connection's in-flight requests.
+// The HELLO exchange alone carries no request id: it is the first frame of
+// a session and it carries the version, so the server parses it before
+// anything else. Every frame after the ok HELLO response carries an id.
+// Request ids are client-assigned and only need to be unique among that
+// connection's in-flight requests.
 //
 // Strings are u32 length | bytes. All helpers here are transport-agnostic
 // byte shuffling; the verbs live in sand_server.cc / sand_client.cc.
@@ -43,12 +39,10 @@ namespace net {
 // ReadFrame refuses larger length words before the allocation, not after.
 inline constexpr uint32_t kMaxFrameBytes = 1u << 27;
 
-// Highest protocol revision this build speaks, sent in HELLO. The server
-// accepts any client in [kMinProtocolVersion, kProtocolVersion] and the
-// connection runs at the minimum of the two sides, so old serial clients
-// keep working against a pipelined server.
+// The protocol revision this build speaks, sent in HELLO. The server
+// refuses a lower offer and answers min(offer, kProtocolVersion), so a
+// later revision can be refused cleanly by a client that requires its own.
 inline constexpr uint16_t kProtocolVersion = 2;
-inline constexpr uint16_t kMinProtocolVersion = 1;
 
 // Request commands. Mirrors the SandApi verb set plus the HELLO
 // authentication handshake and the object-store verbs the cluster layer
@@ -72,14 +66,6 @@ enum class Command : uint8_t {
   kStatObject = 12,    // string key                         -> ok | u8 exists | u64 size
   kDeleteObject = 13,  // string key                         -> ok
 };
-
-// Machine-readable prefix on the HELLO refusal message when the server
-// rejects the offered protocol version. The status code stays
-// INVALID_ARGUMENT (older v2 clients already key on it), but clients
-// deciding whether to re-dial at v1 match this tag structurally instead
-// of grepping the human-readable text, so rewording the message can no
-// longer break version negotiation.
-inline constexpr const char kVersionRefusedTag[] = "[version-refused] ";
 
 // --- scalar/string packing ---------------------------------------------------
 

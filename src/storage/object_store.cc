@@ -709,6 +709,7 @@ TieredCache::TieredCache(std::shared_ptr<ObjectStore> memory, std::shared_ptr<Ob
     : memory_(std::move(memory)),
       disk_(std::move(disk)),
       fault_policy_(fault_policy),
+      disk_breaker_(fault_policy.offline_threshold, fault_policy.reprobe_interval),
       memory_hits_(obs::Registry::Get().GetCounter("sand.cache.memory.hits")),
       disk_hits_(obs::Registry::Get().GetCounter("sand.cache.disk.hits")),
       misses_(obs::Registry::Get().GetCounter("sand.cache.misses")),
@@ -869,47 +870,6 @@ Result<SharedBytes> TieredCache::MaybeDecode(SharedBytes data) {
   return MakeSharedBytes(std::move(decoded));
 }
 
-bool TieredCache::DiskAvailable() {
-  if (!disk_offline_.load(std::memory_order_relaxed)) {
-    return true;
-  }
-  const Nanos now = WallClock::Get().Now();
-  Nanos probe_at = disk_probe_at_.load(std::memory_order_relaxed);
-  while (now >= probe_at) {
-    // Claim the probe slot: exactly one caller per reprobe interval gets to
-    // test the tier; everyone else stays memory-only.
-    if (disk_probe_at_.compare_exchange_weak(probe_at, now + fault_policy_.reprobe_interval,
-                                             std::memory_order_relaxed)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-void TieredCache::NoteDiskResult(bool healthy) {
-  if (healthy) {
-    disk_failure_streak_.store(0, std::memory_order_relaxed);
-    if (disk_offline_.exchange(false, std::memory_order_relaxed)) {
-      disk_degraded_gauge_->Set(0);
-      SAND_LOG(kInfo) << "disk tier back online";
-    }
-    return;
-  }
-  const int streak = disk_failure_streak_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (streak >= fault_policy_.offline_threshold &&
-      !disk_offline_.exchange(true, std::memory_order_relaxed)) {
-    disk_degraded_gauge_->Set(1);
-    disk_probe_at_.store(WallClock::Get().Now() + fault_policy_.reprobe_interval,
-                         std::memory_order_relaxed);
-    SAND_LOG(kWarning) << "disk tier marked offline after " << streak
-                       << " consecutive failures; degrading to memory-only";
-  } else if (disk_offline_.load(std::memory_order_relaxed)) {
-    // A failed probe: push the next probe out a full interval.
-    disk_probe_at_.store(WallClock::Get().Now() + fault_policy_.reprobe_interval,
-                         std::memory_order_relaxed);
-  }
-}
-
 template <typename Fn>
 auto TieredCache::DiskOpWithRetry(Fn&& fn) -> decltype(fn()) {
   auto result = fn();
@@ -924,7 +884,19 @@ auto TieredCache::DiskOpWithRetry(Fn&& fn) -> decltype(fn()) {
     backoff = static_cast<Nanos>(static_cast<double>(backoff) * fault_policy_.backoff_multiplier);
     result = fn();
   }
-  NoteDiskResult(!TransientDiskError(StatusOf(result)));
+  switch (disk_breaker_.Note(!TransientDiskError(StatusOf(result)))) {
+    case CircuitBreaker::Transition::kTripped:
+      disk_degraded_gauge_->Set(1);
+      SAND_LOG(kWarning) << "disk tier marked offline after " << disk_breaker_.failure_streak()
+                         << " consecutive failures; degrading to memory-only";
+      break;
+    case CircuitBreaker::Transition::kRecovered:
+      disk_degraded_gauge_->Set(0);
+      SAND_LOG(kInfo) << "disk tier back online";
+      break;
+    case CircuitBreaker::Transition::kNone:
+      break;
+  }
   return result;
 }
 
@@ -968,7 +940,7 @@ Status TieredCache::PutLocal(const std::string& key, std::span<const uint8_t> da
     }
     // Memory full: fall through to disk rather than failing the pipeline.
   }
-  Status status = DiskAvailable()
+  Status status = disk_breaker_.Allow()
                       ? DiskOpWithRetry([&] { return disk_->Put(key, disk_data); })
                       : Unavailable("disk tier offline: " + key);
   if (status.ok()) {
@@ -1010,7 +982,7 @@ Status TieredCache::PutSharedLocal(const std::string& key, SharedBytes data, Tie
   const std::optional<std::vector<uint8_t>> encoded =
       MaybeEncodeForDisk(key, std::span<const uint8_t>(*data), tier);
   Status status =
-      DiskAvailable()
+      disk_breaker_.Allow()
           ? DiskOpWithRetry([&] {
               return encoded ? disk_->Put(key, std::span<const uint8_t>(*encoded))
                              : disk_->PutShared(key, data);
@@ -1053,7 +1025,7 @@ Result<bool> TieredCache::PutIfAbsentLocal(const std::string& key,
     // Memory full: fall through to disk rather than failing the pipeline.
   }
   Result<bool> inserted =
-      DiskAvailable()
+      disk_breaker_.Allow()
           ? DiskOpWithRetry([&] { return disk_->PutIfAbsent(key, disk_data); })
           : Result<bool>(Unavailable("disk tier offline: " + key));
   if (inserted.ok()) {
@@ -1080,7 +1052,7 @@ Result<bool> TieredCache::PutIfAbsentLocal(const std::string& key,
 
 Status TieredCache::PutDisk(const std::string& key, std::span<const uint8_t> data) {
   SAND_SPAN("store_put");
-  if (!DiskAvailable()) {
+  if (!disk_breaker_.Allow()) {
     return Unavailable("disk tier offline: " + key);
   }
   Status status = DiskOpWithRetry([&] { return disk_->Put(key, data); });
@@ -1113,7 +1085,7 @@ Result<SharedBytes> TieredCache::GetShared(const std::string& key) {
     }
     return decoded;
   }
-  if (!DiskAvailable()) {
+  if (!disk_breaker_.Allow()) {
     // Degraded: a cold object reads as a miss after the peer probe (the
     // caller rematerializes), never as an error surfaced to the training
     // loop.
@@ -1152,7 +1124,7 @@ bool TieredCache::Contains(const std::string& key) {
   }
   // No probe claim here: Contains has no error channel to report through,
   // so an offline tier just reads as "not cached".
-  return !disk_offline_.load(std::memory_order_relaxed) && disk_->Contains(key);
+  return !disk_breaker_.offline() && disk_->Contains(key);
 }
 
 void TieredCache::Pin(const std::string& key) {
@@ -1186,7 +1158,7 @@ Status TieredCache::Delete(const std::string& key) {
   if (memory_->Delete(key).ok()) {
     any = true;
   }
-  if (DiskAvailable()) {
+  if (disk_breaker_.Allow()) {
     if (DiskOpWithRetry([&] { return disk_->Delete(key); }).ok()) {
       any = true;
     }
@@ -1201,7 +1173,7 @@ Status TieredCache::Demote(const std::string& key) {
   if (IsPinned(key)) {
     return FailedPrecondition("pinned: " + key);
   }
-  if (!DiskAvailable()) {
+  if (!disk_breaker_.Allow()) {
     return Unavailable("disk tier offline: cannot demote " + key);
   }
   if (Codec() != nullptr) {
@@ -1230,7 +1202,7 @@ Status TieredCache::DemoteCompressed(const std::string& key) {
   if (IsPinned(key)) {
     return FailedPrecondition("pinned: " + key);
   }
-  if (!DiskAvailable()) {
+  if (!disk_breaker_.Allow()) {
     return Unavailable("disk tier offline: cannot demote " + key);
   }
   SAND_ASSIGN_OR_RETURN(SharedBytes data, memory_->GetShared(key));

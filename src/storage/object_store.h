@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "src/common/bytes.h"
+#include "src/common/circuit_breaker.h"
 #include "src/common/clock.h"
 #include "src/common/result.h"
 #include "src/compress/lossy.h"
@@ -359,7 +360,7 @@ class TieredCache {
   bool has_peer() const;
 
   // True while the disk tier is marked offline (memory-only degradation).
-  bool disk_degraded() const { return disk_offline_.load(std::memory_order_relaxed); }
+  bool disk_degraded() const { return disk_breaker_.offline(); }
 
   uint64_t MemoryUsedBytes() { return memory_->UsedBytes(); }
   uint64_t DiskUsedBytes() { return disk_->UsedBytes(); }
@@ -403,24 +404,17 @@ class TieredCache {
   Status DemoteCompressed(const std::string& key);
 
   // Runs one disk-tier op with the retry policy and records the outcome in
-  // the circuit breaker. `fn` must be idempotent (all store ops are).
+  // the circuit breaker: only a transient infrastructure error counts as a
+  // failure (NotFound et al. are healthy answers). `fn` must be idempotent
+  // (all store ops are).
   template <typename Fn>
   auto DiskOpWithRetry(Fn&& fn) -> decltype(fn());
-  // True when a disk op may be attempted: tier online, or offline with an
-  // expired reprobe clock (the caller becomes the probe).
-  bool DiskAvailable();
-  // Feeds the circuit breaker. `healthy` = the op did not end in a
-  // transient infrastructure error (NotFound et al. count as healthy).
-  void NoteDiskResult(bool healthy);
 
   std::shared_ptr<ObjectStore> memory_;
   std::shared_ptr<ObjectStore> disk_;
   const DiskFaultPolicy fault_policy_;
-
-  // Disk-tier circuit breaker state.
-  std::atomic<int> disk_failure_streak_{0};
-  std::atomic<bool> disk_offline_{false};
-  std::atomic<Nanos> disk_probe_at_{0};
+  // Gates every disk op: Allow() false = memory-only degradation.
+  CircuitBreaker disk_breaker_;
 
   // Peer store (cluster probe level). Published under peer_mutex_ (cold
   // path: attach at startup, snapshot per miss/put).

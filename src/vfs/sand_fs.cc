@@ -17,36 +17,93 @@ namespace sand {
 
 namespace {
 
-// Registered extra control views ("/.sand/<name>"). Process-global like
-// the obs registry the built-in views render from; a mutex-guarded map is
-// fine because renderers only run on the cold control-open path.
-struct ControlViewRegistry {
-  std::mutex mutex;
-  std::map<std::string, SandFs::ControlRenderer> renderers;
-
-  static ControlViewRegistry& Get() {
-    static ControlViewRegistry* registry = new ControlViewRegistry();
-    return *registry;
-  }
+// One "/.sand/<name>" entry: a leaf whose body `render` produces, or a
+// per-tag directory "/.sand/<name>/<tag>/metrics" whose tags `tags` lists
+// (sorted) and whose per-tag body `render_tag` produces.
+struct ControlView {
+  bool builtin = false;
+  SandFs::ControlRenderer render;
+  std::function<std::vector<std::string>()> tags;
+  std::function<std::string(const std::string& tag)> render_tag;
+  std::string tag_kind;  // "job" in "no job: /.sand/jobs/<tag>"
 };
 
-bool IsBuiltinControlName(const std::string& name) {
-  return name == "health" || name == "history" || name == "jobs" ||
-         name == "metrics" || name == "tenants" || name == "trace";
+// The one file under each tag of a per-tag directory.
+constexpr const char kTagFile[] = "metrics";
+
+ControlView Leaf(SandFs::ControlRenderer render) {
+  ControlView view;
+  view.builtin = true;
+  view.render = std::move(render);
+  return view;
 }
+
+// A directory over one attribution registry: each tag's slice of the
+// metrics registry, "sand.<kind>.<tag>." prefix stripped back off.
+ControlView TagDir(const std::string& kind, std::function<std::vector<std::string>()> tags) {
+  ControlView view;
+  view.builtin = true;
+  view.tags = std::move(tags);
+  view.render_tag = [kind](const std::string& tag) {
+    return obs::Registry::Get().ToJson("sand." + kind + "." + tag + ".",
+                                       /*strip_prefix=*/true);
+  };
+  view.tag_kind = kind;
+  return view;
+}
+
+// Every control view, built-in and registered. Process-global like the obs
+// registry the views render from; a mutex-guarded map is fine because
+// renderers only run on the cold control-open path, and they run outside
+// the lock (they may be slow — e.g. the cluster layer probing peers).
+struct ControlViewTable {
+  std::mutex mutex;
+  std::map<std::string, ControlView> views{
+      {"health", Leaf([] { return obs::HealthMonitor::Get().EvaluateToJson(); })},
+      {"history", Leaf([] { return obs::HistoryRecorder::Get().ToJson(); })},
+      // The scheduler's per-job attribution of shared work.
+      {"jobs", TagDir("job", [] { return obs::JobRegistry::Get().Tags(); })},
+      {"metrics", Leaf([] { return obs::Registry::Get().ToJson(); })},
+      // The socket front-end's per-tenant sessions/requests/rejections/
+      // bytes plus whatever the scheduler attributed to the tenant.
+      {"tenants", TagDir("tenant", [] { return obs::TenantRegistry::Get().Tags(); })},
+      {"trace", Leaf([] { return obs::Tracer::Get().ToChromeJson(); })},
+  };
+
+  static ControlViewTable& Get() {
+    static ControlViewTable* table = new ControlViewTable();
+    return *table;
+  }
+
+  // A copy, so the caller can render without holding the lock.
+  std::optional<ControlView> Find(const std::string& name) {
+    std::lock_guard<std::mutex> lock(mutex);
+    auto it = views.find(name);
+    if (it == views.end()) {
+      return std::nullopt;
+    }
+    return it->second;
+  }
+};
 
 }  // namespace
 
 void SandFs::RegisterControlView(const std::string& name, ControlRenderer renderer) {
-  if (name.empty() || IsBuiltinControlName(name)) {
+  if (name.empty()) {
     return;
   }
-  ControlViewRegistry& registry = ControlViewRegistry::Get();
-  std::lock_guard<std::mutex> lock(registry.mutex);
+  ControlViewTable& table = ControlViewTable::Get();
+  std::lock_guard<std::mutex> lock(table.mutex);
+  auto it = table.views.find(name);
+  if (it != table.views.end() && it->second.builtin) {
+    return;
+  }
   if (renderer) {
-    registry.renderers[name] = std::move(renderer);
-  } else {
-    registry.renderers.erase(name);
+    ControlView view;
+    view.render = std::move(renderer);
+    table.views[name] = std::move(view);
+  } else if (it != table.views.end()) {
+    table.views.erase(it);
   }
 }
 
@@ -66,66 +123,18 @@ Result<int> SandFs::OpenControl(const std::vector<std::string>& parts) {
   provider_->PublishObservability();
   std::string body;
   const std::string& name = parts[0];
-  if (parts.size() == 1 && name == "metrics") {
-    body = obs::Registry::Get().ToJson();
-  } else if (parts.size() == 1 && name == "trace") {
-    body = obs::Tracer::Get().ToChromeJson();
-  } else if (parts.size() == 1 && name == "health") {
-    body = obs::HealthMonitor::Get().EvaluateToJson();
-  } else if (parts.size() == 1 && name == "history") {
-    body = obs::HistoryRecorder::Get().ToJson();
-  } else if (parts.size() == 3 && name == "jobs" && parts[2] == "metrics") {
-    // "/.sand/jobs/<tag>/metrics": the job's slice of the registry with
-    // the "sand.job.<tag>." prefix stripped back off.
+  std::optional<ControlView> view = ControlViewTable::Get().Find(name);
+  if (view && view->render && parts.size() == 1) {
+    body = view->render();
+  } else if (view && view->render_tag && parts.size() == 3 && parts[2] == kTagFile) {
     const std::string& tag = parts[1];
-    bool known = false;
-    for (const std::string& t : obs::JobRegistry::Get().Tags()) {
-      if (t == tag) {
-        known = true;
-        break;
-      }
+    std::vector<std::string> tags = view->tags();
+    if (!std::binary_search(tags.begin(), tags.end(), tag)) {
+      return NotFound("no " + view->tag_kind + ": " + kControlRoot + "/" + name + "/" + tag);
     }
-    if (!known) {
-      return NotFound(std::string("no job: ") + kControlRoot + "/jobs/" + tag);
-    }
-    body = obs::Registry::Get().ToJson("sand.job." + tag + ".", /*strip_prefix=*/true);
-  } else if (parts.size() == 3 && name == "tenants" && parts[2] == "metrics") {
-    // "/.sand/tenants/<tag>/metrics": the tenant's registry slice — the
-    // socket front-end's per-tenant sessions/requests/rejections/bytes
-    // plus whatever the scheduler attributed to it.
-    const std::string& tag = parts[1];
-    bool known = false;
-    for (const std::string& t : obs::TenantRegistry::Get().Tags()) {
-      if (t == tag) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
-      return NotFound(std::string("no tenant: ") + kControlRoot + "/tenants/" + tag);
-    }
-    body = obs::Registry::Get().ToJson("sand.tenant." + tag + ".", /*strip_prefix=*/true);
+    body = view->render_tag(tag);
   } else {
-    // Registered views last: built-in names always win, and the renderer
-    // runs outside the registry lock (it may be slow — e.g. the cluster
-    // layer probing peer health).
-    ControlRenderer renderer;
-    if (parts.size() == 1) {
-      ControlViewRegistry& registry = ControlViewRegistry::Get();
-      std::lock_guard<std::mutex> lock(registry.mutex);
-      auto it = registry.renderers.find(name);
-      if (it != registry.renderers.end()) {
-        renderer = it->second;
-      }
-    }
-    if (!renderer) {
-      std::string joined = parts[0];
-      for (size_t i = 1; i < parts.size(); ++i) {
-        joined += "/" + parts[i];
-      }
-      return NotFound(std::string("no control view: ") + kControlRoot + "/" + joined);
-    }
-    body = renderer();
+    return NotFound(std::string("no control view: ") + kControlRoot + "/" + Join(parts, "/"));
   }
   std::lock_guard<std::mutex> lock(mutex_);
   int fd = next_fd_++;
@@ -389,30 +398,24 @@ Result<std::vector<std::string>> SandFs::ListDir(const std::string& path) {
   if (path.empty() || path.front() != '/') {
     return InvalidArgument("listdir: path must be absolute: " + path);
   }
-  if (path == kControlRoot || path == std::string(kControlRoot) + "/") {
-    std::vector<std::string> entries{"health", "history", "jobs",
-                                     "metrics", "tenants", "trace"};
-    {
-      ControlViewRegistry& registry = ControlViewRegistry::Get();
-      std::lock_guard<std::mutex> lock(registry.mutex);
-      for (const auto& [name, renderer] : registry.renderers) {
-        entries.push_back(name);
-      }
+  const std::string root = std::string(kControlRoot) + "/";
+  if (path == kControlRoot || path == root) {
+    ControlViewTable& table = ControlViewTable::Get();
+    std::lock_guard<std::mutex> lock(table.mutex);
+    std::vector<std::string> entries;
+    for (const auto& [name, view] : table.views) {
+      entries.push_back(name);  // std::map order: sorted
     }
-    std::sort(entries.begin(), entries.end());
     return entries;
   }
-  if (path == std::string(kControlRoot) + "/jobs") {
-    return obs::JobRegistry::Get().Tags();  // already sorted
-  }
-  if (path.rfind(std::string(kControlRoot) + "/jobs/", 0) == 0) {
-    return std::vector<std::string>{"metrics"};
-  }
-  if (path == std::string(kControlRoot) + "/tenants") {
-    return obs::TenantRegistry::Get().Tags();  // already sorted
-  }
-  if (path.rfind(std::string(kControlRoot) + "/tenants/", 0) == 0) {
-    return std::vector<std::string>{"metrics"};
+  if (path.rfind(root, 0) == 0) {
+    // "/.sand/<dir>" lists its tags; "/.sand/<dir>/<tag>" its one file.
+    std::string rest = path.substr(root.size());
+    size_t slash = rest.find('/');
+    std::optional<ControlView> view = ControlViewTable::Get().Find(rest.substr(0, slash));
+    if (view && view->tags) {
+      return slash == std::string::npos ? view->tags() : std::vector<std::string>{kTagFile};
+    }
   }
   SAND_ASSIGN_OR_RETURN(std::vector<std::string> children, provider_->ListChildren(path));
   std::sort(children.begin(), children.end());

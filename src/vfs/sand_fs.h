@@ -162,14 +162,14 @@ class SandFs : public SandApi {
   // The readahead engine (prefetch hit/waste counters for benches/tests).
   Prefetcher& prefetcher() { return prefetcher_; }
 
-  // Process-global registry of extra control views: subsystems that live
-  // above the VFS (e.g. the cluster layer, which depends on net which
-  // depends on vfs) publish "/.sand/<name>" without a layering cycle by
-  // registering a renderer here. The renderer runs at Open and its output
-  // is snapshotted into the control fd, exactly like the built-in views;
-  // it must be thread-safe and must not call back into a SandFs.
-  // Re-registering a name replaces the renderer; registering an empty
-  // function unregisters it. Built-in names cannot be overridden.
+  // Adds a leaf to the process-global table of "/.sand/<name>" control
+  // views that also holds the built-in ones: subsystems that live above
+  // the VFS (e.g. the cluster layer, which depends on net which depends on
+  // vfs) publish a view without a layering cycle. The renderer runs at
+  // Open and its output is snapshotted into the control fd, exactly like
+  // the built-in views; it must be thread-safe and must not call back into
+  // a SandFs. Re-registering a name replaces the renderer; registering an
+  // empty function unregisters it. Built-in names cannot be overridden.
   using ControlRenderer = std::function<std::string()>;
   static void RegisterControlView(const std::string& name, ControlRenderer renderer);
 

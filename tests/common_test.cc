@@ -1,10 +1,14 @@
-// Unit tests for src/common: Result/Status, strings, rng, clocks, units.
+// Unit tests for src/common: Result/Status, strings, rng, clocks, units,
+// the circuit breaker.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <set>
 #include <thread>
+#include <vector>
 
+#include "src/common/circuit_breaker.h"
 #include "src/common/clock.h"
 #include "src/common/result.h"
 #include "src/common/rng.h"
@@ -256,6 +260,79 @@ TEST(ClockTest, StopwatchMeasures) {
   EXPECT_EQ(watch.Elapsed(), 42);
   watch.Reset();
   EXPECT_EQ(watch.Elapsed(), 0);
+}
+
+TEST(CircuitBreakerTest, TripsExactlyAtThreshold) {
+  ManualClock clock(1000);
+  CircuitBreaker breaker(/*offline_threshold=*/3, /*reprobe_interval=*/100, clock);
+  EXPECT_EQ(breaker.Note(false), CircuitBreaker::Transition::kNone);
+  EXPECT_EQ(breaker.Note(false), CircuitBreaker::Transition::kNone);
+  EXPECT_FALSE(breaker.offline());
+  EXPECT_TRUE(breaker.Allow());
+  EXPECT_EQ(breaker.Note(false), CircuitBreaker::Transition::kTripped);
+  EXPECT_TRUE(breaker.offline());
+  EXPECT_EQ(breaker.failure_streak(), 3);
+  EXPECT_FALSE(breaker.Allow()) << "reprobe clock has not expired";
+  // Already open: further failures trip nothing.
+  EXPECT_EQ(breaker.Note(false), CircuitBreaker::Transition::kNone);
+}
+
+TEST(CircuitBreakerTest, ExpiredReprobeAdmitsExactlyOneOfManyCallers) {
+  ManualClock clock(1000);
+  CircuitBreaker breaker(/*offline_threshold=*/1, /*reprobe_interval=*/100, clock);
+  ASSERT_EQ(breaker.Note(false), CircuitBreaker::Transition::kTripped);
+  clock.Advance(100);
+
+  constexpr int kThreads = 8;
+  std::atomic<bool> go{false};
+  std::atomic<int> admitted{0};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&] {
+      while (!go.load()) {
+        std::this_thread::yield();
+      }
+      if (breaker.Allow()) {
+        admitted.fetch_add(1);
+      }
+    });
+  }
+  go.store(true);
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(admitted.load(), 1);
+}
+
+TEST(CircuitBreakerTest, FailedProbePushesNextProbeOneInterval) {
+  ManualClock clock(1000);
+  CircuitBreaker breaker(/*offline_threshold=*/1, /*reprobe_interval=*/100, clock);
+  ASSERT_EQ(breaker.Note(false), CircuitBreaker::Transition::kTripped);
+  clock.Advance(100);
+  ASSERT_TRUE(breaker.Allow());  // this caller is the probe
+  clock.Advance(30);
+  EXPECT_EQ(breaker.Note(false), CircuitBreaker::Transition::kNone);  // probe failed
+  // The next probe is one interval after the failure, not after the claim.
+  clock.Advance(99);
+  EXPECT_FALSE(breaker.Allow());
+  clock.Advance(1);
+  EXPECT_TRUE(breaker.Allow());
+  EXPECT_TRUE(breaker.offline());
+}
+
+TEST(CircuitBreakerTest, HealthyResultResetsStreakAndRecovers) {
+  ManualClock clock(1000);
+  CircuitBreaker breaker(/*offline_threshold=*/2, /*reprobe_interval=*/100, clock);
+  breaker.Note(false);
+  EXPECT_EQ(breaker.Note(true), CircuitBreaker::Transition::kNone);
+  EXPECT_EQ(breaker.failure_streak(), 0);
+  // The reset streak must be rebuilt in full before the breaker trips.
+  EXPECT_EQ(breaker.Note(false), CircuitBreaker::Transition::kNone);
+  ASSERT_EQ(breaker.Note(false), CircuitBreaker::Transition::kTripped);
+  EXPECT_EQ(breaker.Note(true), CircuitBreaker::Transition::kRecovered);
+  EXPECT_FALSE(breaker.offline());
+  EXPECT_EQ(breaker.failure_streak(), 0);
+  EXPECT_TRUE(breaker.Allow());
 }
 
 TEST(UnitsTest, FormatBytes) {

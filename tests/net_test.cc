@@ -1,11 +1,12 @@
 // Loopback tests for the SandServer / SandClient socket transport
 // (DESIGN.md §13): tenant sessions, quota enforcement, backpressure as
-// RESOURCE_EXHAUSTED over the wire, leak-free disconnects, and the v2
-// pipelined protocol (out-of-order completion, request-id demux, version
-// negotiation, idle reaping, peer-cred auth). Runs in the TSan suite
+// RESOURCE_EXHAUSTED over the wire, leak-free disconnects, and the
+// pipelined protocol (out-of-order completion, request-id demux, the
+// HELLO version check, idle reaping, peer-cred auth). Runs in the TSan suite
 // (tools/check_tsan.sh).
 
 #include <gtest/gtest.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -15,6 +16,7 @@
 #include <condition_variable>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -187,6 +189,44 @@ class NetTest : public ::testing::Test {
   std::string socket_path_;
 };
 
+// Raw-socket helpers for hand-written sessions. After an ok HELLO every
+// frame carries a u64 request id ahead of the command (responses: ahead of
+// the status head).
+std::vector<uint8_t> RawRequest(uint64_t request_id, net::Command command) {
+  std::vector<uint8_t> frame;
+  net::PutU64(frame, request_id);
+  net::PutU8(frame, static_cast<uint8_t>(command));
+  return frame;
+}
+
+// Reads one response frame, checks its request id, and strips it.
+void ReadRawResponse(int socket_fd, uint64_t request_id, std::vector<uint8_t>& response) {
+  std::vector<uint8_t> frame;
+  ASSERT_TRUE(net::ReadFrame(socket_fd, frame));
+  net::WireReader reader(frame);
+  auto id = reader.TakeU64();
+  ASSERT_TRUE(id.ok());
+  EXPECT_EQ(*id, request_id);
+  response = reader.TakeRest();
+}
+
+// Opens a raw connection and authenticates it as `tenant`.
+int RawSession(const std::string& socket_path, const std::string& tenant) {
+  auto socket_fd = net::ConnectUnix(socket_path);
+  EXPECT_TRUE(socket_fd.ok());
+  if (!socket_fd.ok()) {
+    return -1;
+  }
+  std::vector<uint8_t> hello{static_cast<uint8_t>(net::Command::kHello)};
+  net::PutU16(hello, net::kProtocolVersion);
+  net::PutString(hello, tenant);
+  std::vector<uint8_t> response;
+  EXPECT_TRUE(net::WriteFrame(*socket_fd, hello));
+  EXPECT_TRUE(net::ReadFrame(*socket_fd, response));
+  EXPECT_TRUE(net::DecodeResponseStatus(response).ok());
+  return *socket_fd;
+}
+
 TEST_F(NetTest, VerbsRoundTripOverTheWire) {
   StartServer();
   auto client = Connect("alpha");
@@ -255,6 +295,14 @@ TEST_F(NetTest, HelloIsMandatoryAndVersionChecked) {
   ASSERT_TRUE(net::ReadFrame(*socket_fd, response));
   EXPECT_EQ(net::DecodeResponseStatus(response).code(), ErrorCode::kInvalidArgument);
 
+  // So is version 1, the retired serial protocol.
+  std::vector<uint8_t> serial{static_cast<uint8_t>(net::Command::kHello)};
+  net::PutU16(serial, 1);
+  net::PutString(serial, "alpha");
+  ASSERT_TRUE(net::WriteFrame(*socket_fd, serial));
+  ASSERT_TRUE(net::ReadFrame(*socket_fd, response));
+  EXPECT_EQ(net::DecodeResponseStatus(response).code(), ErrorCode::kInvalidArgument);
+
   // A version above the server's ceiling negotiates *down*: the response
   // carries the agreed version after the tenant id.
   std::vector<uint8_t> eager{static_cast<uint8_t>(net::Command::kHello)};
@@ -277,36 +325,28 @@ TEST_F(NetTest, HelloIsMandatoryAndVersionChecked) {
 
 TEST_F(NetTest, SecondHelloIsRejected) {
   StartServer();
-  auto socket_fd = net::ConnectUnix(socket_path_);
-  ASSERT_TRUE(socket_fd.ok());
-  // Negotiate v1 so the follow-up frames stay id-less (and the old wire
-  // shape keeps its coverage against the pipelined server).
-  std::vector<uint8_t> hello{static_cast<uint8_t>(net::Command::kHello)};
-  net::PutU16(hello, 1);
-  net::PutString(hello, "alpha");
-  std::vector<uint8_t> response;
-  ASSERT_TRUE(net::WriteFrame(*socket_fd, hello));
-  ASSERT_TRUE(net::ReadFrame(*socket_fd, response));
-  ASSERT_TRUE(net::DecodeResponseStatus(response).ok());
+  int socket_fd = RawSession(socket_path_, "alpha");
+  ASSERT_GE(socket_fd, 0);
 
   // Re-badging as another tenant mid-session would let fd charges taken
   // as "alpha" be released against "beta"'s budget: refused.
-  std::vector<uint8_t> rebadge{static_cast<uint8_t>(net::Command::kHello)};
-  net::PutU16(rebadge, 1);
+  std::vector<uint8_t> rebadge = RawRequest(1, net::Command::kHello);
+  net::PutU16(rebadge, net::kProtocolVersion);
   net::PutString(rebadge, "beta");
-  ASSERT_TRUE(net::WriteFrame(*socket_fd, rebadge));
-  ASSERT_TRUE(net::ReadFrame(*socket_fd, response));
+  std::vector<uint8_t> response;
+  ASSERT_TRUE(net::WriteFrame(socket_fd, rebadge));
+  ReadRawResponse(socket_fd, 1, response);
   EXPECT_EQ(net::DecodeResponseStatus(response).code(),
             ErrorCode::kFailedPrecondition);
 
   // The connection itself stays healthy as the original tenant.
-  std::vector<uint8_t> open{static_cast<uint8_t>(net::Command::kOpen)};
+  std::vector<uint8_t> open = RawRequest(2, net::Command::kOpen);
   net::PutString(open, "/train/0/0/view");
   net::PutBytes(open, OpenOptions{}.Serialize());
-  ASSERT_TRUE(net::WriteFrame(*socket_fd, open));
-  ASSERT_TRUE(net::ReadFrame(*socket_fd, response));
+  ASSERT_TRUE(net::WriteFrame(socket_fd, open));
+  ReadRawResponse(socket_fd, 2, response);
   EXPECT_TRUE(net::DecodeResponseStatus(response).ok());
-  ::close(*socket_fd);
+  ::close(socket_fd);
 }
 
 TEST_F(NetTest, OversizedFrameLengthDropsConnection) {
@@ -335,33 +375,28 @@ TEST_F(NetTest, ClientVanishingMidResponseDoesNotKillServer) {
   provider_.SetGated(true);
 
   // Raw session: HELLO, Open, then a ReadAll that parks behind the gate.
-  auto socket_fd = net::ConnectUnix(socket_path_);
-  ASSERT_TRUE(socket_fd.ok());
-  std::vector<uint8_t> hello{static_cast<uint8_t>(net::Command::kHello)};
-  net::PutU16(hello, 1);  // v1 session: follow-up frames carry no ids
-  net::PutString(hello, "alpha");
-  std::vector<uint8_t> response;
-  ASSERT_TRUE(net::WriteFrame(*socket_fd, hello));
-  ASSERT_TRUE(net::ReadFrame(*socket_fd, response));
-  std::vector<uint8_t> open{static_cast<uint8_t>(net::Command::kOpen)};
+  int socket_fd = RawSession(socket_path_, "alpha");
+  ASSERT_GE(socket_fd, 0);
+  std::vector<uint8_t> open = RawRequest(1, net::Command::kOpen);
   net::PutString(open, "/train/0/0/view");
   net::PutBytes(open, OpenOptions{}.Serialize());
-  ASSERT_TRUE(net::WriteFrame(*socket_fd, open));
-  ASSERT_TRUE(net::ReadFrame(*socket_fd, response));
+  std::vector<uint8_t> response;
+  ASSERT_TRUE(net::WriteFrame(socket_fd, open));
+  ReadRawResponse(socket_fd, 1, response);
   ASSERT_TRUE(net::DecodeResponseStatus(response).ok());
   net::WireReader reader(response);
   (void)*reader.TakeU8();
   int fd = *reader.TakeI32();
-  std::vector<uint8_t> read_all{static_cast<uint8_t>(net::Command::kReadAll)};
+  std::vector<uint8_t> read_all = RawRequest(2, net::Command::kReadAll);
   net::PutI32(read_all, fd);
-  ASSERT_TRUE(net::WriteFrame(*socket_fd, read_all));
+  ASSERT_TRUE(net::WriteFrame(socket_fd, read_all));
   provider_.WaitMaterializeStarted(1);
 
   // Vanish while the server still owes us a response; when the gate opens
   // the server writes into a dead socket. That must be EPIPE on that
   // connection, not SIGPIPE killing the process (which would abort the
   // whole test binary here).
-  ::close(*socket_fd);
+  ::close(socket_fd);
   provider_.SetGated(false);
 
   auto survivor = Connect("beta");
@@ -645,35 +680,6 @@ TEST_F(NetTest, SchedulerCapHookReceivesQuotas) {
   EXPECT_EQ(caps.begin()->second, 2);
 }
 
-TEST_F(NetTest, NegotiatesPipelinedVersionAndOldClientStillWorks) {
-  StartServer();
-  // A default client lands on the pipelined protocol...
-  auto modern = Connect("alpha");
-  ASSERT_NE(modern, nullptr);
-  EXPECT_EQ(modern->negotiated_version(), net::kProtocolVersion);
-
-  // ...while a client pinned to v1 (an old binary) negotiates the serial
-  // protocol against the same server and every verb still round-trips.
-  SandClient::Options old_options;
-  old_options.unix_path = socket_path_;
-  old_options.tenant = "beta";
-  old_options.protocol_version = 1;
-  auto old_client = SandClient::Connect(old_options);
-  ASSERT_TRUE(old_client.ok()) << old_client.status().ToString();
-  EXPECT_EQ((*old_client)->negotiated_version(), 1);
-  auto fd = (*old_client)->Open("/train/0/0/view");
-  ASSERT_TRUE(fd.ok());
-  auto bytes = (*old_client)->ReadAllShared(*fd);
-  ASSERT_TRUE(bytes.ok());
-  EXPECT_EQ((*bytes)->size(), 8u);
-  EXPECT_TRUE((*old_client)->Close(*fd).ok());
-
-  // Both generations coexist: the modern client is unaffected.
-  auto modern_fd = modern->Open("/train/0/1/view");
-  ASSERT_TRUE(modern_fd.ok());
-  EXPECT_TRUE(modern->ReadAllShared(*modern_fd).ok());
-}
-
 TEST_F(NetTest, PipelinedReadsCompleteOutOfOrder) {
   StartServer();
   auto client = Connect("alpha");
@@ -848,73 +854,86 @@ TEST_F(NetTest, IdleConnectionsAreReaped) {
   EXPECT_TRUE(fresh->ReadAllShared(*fresh_fd).ok());
 }
 
-TEST_F(NetTest, VersionRefusalTagNegotiatesDown) {
-  // A server refusing our v2 offer tags the refusal with
-  // kVersionRefusedTag; the client must recognize the tag structurally
-  // (regardless of the wording after it) and redial at the floor. A
-  // hand-rolled server stands in for a future build whose message text
-  // has drifted.
-  const std::string path = ::testing::TempDir() + "sand_refuse_" +
+TEST_F(NetTest, ClientRequiresAgreedProtocolVersion) {
+  // A hand-rolled server scripts HELLO answers a real one never gives. Each
+  // round accepts one connection, answers its HELLO with `answer`, and
+  // records the offered version and whether any frame followed the HELLO.
+  const std::string path = ::testing::TempDir() + "sand_hello_" +
                            std::to_string(::getpid()) + ".sock";
   auto listen_fd = net::ListenUnix(path, 4);
   ASSERT_TRUE(listen_fd.ok()) << listen_fd.status().ToString();
-  std::atomic<uint16_t> second_offer{0xFFFF};
-  std::thread fake_server([&] {
-    // Connection 1: tagged refusal, deliberately NOT containing the
-    // legacy "protocol version" wording.
+  struct Seen {
+    uint16_t offer = 0;
+    bool sent_frame_after_hello = false;
+  };
+  auto serve_one_hello = [&listen_fd](std::vector<uint8_t> answer, Seen* seen) {
     int conn = ::accept(*listen_fd, nullptr, nullptr);
     ASSERT_GE(conn, 0);
     std::vector<uint8_t> frame;
     ASSERT_TRUE(net::ReadFrame(conn, frame));
-    std::vector<uint8_t> refusal = net::EncodeErrorResponse(
-        InvalidArgument(std::string(net::kVersionRefusedTag) +
-                        "too new; speak the floor"));
-    ASSERT_TRUE(net::WriteFrame(conn, refusal));
-    ::close(conn);
-    // Connection 2: the redial; capture the downgraded offer and accept.
-    conn = ::accept(*listen_fd, nullptr, nullptr);
-    ASSERT_GE(conn, 0);
-    ASSERT_TRUE(net::ReadFrame(conn, frame));
     net::WireReader reader(frame);
-    (void)*reader.TakeU8();  // kHello
-    second_offer.store(*reader.TakeU16());
-    std::vector<uint8_t> ok = net::EncodeOkHead();
-    net::PutU32(ok, 7);  // tenant id; no trailing version = plain v1 accept
-    ASSERT_TRUE(net::WriteFrame(conn, ok));
-    // Hold the connection open until the client tears down.
-    std::vector<uint8_t> rest;
-    (void)net::ReadFrame(conn, rest);
+    EXPECT_EQ(*reader.TakeU8(), static_cast<uint8_t>(net::Command::kHello));
+    seen->offer = *reader.TakeU16();
+    ASSERT_TRUE(net::WriteFrame(conn, answer));
+    // Returns false once the client hangs up.
+    seen->sent_frame_after_hello = net::ReadFrame(conn, frame);
     ::close(conn);
-  });
-
+  };
+  auto ok_hello = [](std::optional<uint16_t> agreed) {
+    std::vector<uint8_t> ok = net::EncodeOkHead();
+    net::PutU32(ok, 7);  // tenant id
+    if (agreed.has_value()) {
+      net::PutU16(ok, *agreed);
+    }
+    return ok;
+  };
   SandClient::Options options;
   options.unix_path = path;
   options.tenant = "alpha";
-  auto client = SandClient::Connect(options);
-  ASSERT_TRUE(client.ok()) << client.status().ToString();
-  EXPECT_EQ((*client)->negotiated_version(), net::kMinProtocolVersion);
-  EXPECT_EQ((*client)->tenant_id(), 7u);
-  EXPECT_EQ(second_offer.load(), net::kMinProtocolVersion);
-  client->reset();
-  fake_server.join();
 
-  // An untagged INVALID_ARGUMENT without the legacy wording is NOT a
-  // version refusal: it must surface verbatim, no downgrade redial.
-  std::thread refusing_server([&] {
-    int conn = ::accept(*listen_fd, nullptr, nullptr);
-    ASSERT_GE(conn, 0);
-    std::vector<uint8_t> frame;
-    ASSERT_TRUE(net::ReadFrame(conn, frame));
-    std::vector<uint8_t> refusal =
-        net::EncodeErrorResponse(InvalidArgument("malformed tenant tag"));
-    ASSERT_TRUE(net::WriteFrame(conn, refusal));
-    ::close(conn);
-  });
-  auto refused = SandClient::Connect(options);
-  ASSERT_FALSE(refused.ok());
-  EXPECT_EQ(refused.status().code(), ErrorCode::kInvalidArgument);
-  EXPECT_EQ(refused.status().message(), "malformed tenant tag");
-  refusing_server.join();
+  // A server agreeing to our version: the client connects at it.
+  {
+    Seen seen;
+    std::thread server(serve_one_hello, ok_hello(net::kProtocolVersion), &seen);
+    auto client = SandClient::Connect(options);
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    EXPECT_EQ((*client)->negotiated_version(), net::kProtocolVersion);
+    EXPECT_EQ((*client)->tenant_id(), 7u);
+    client->reset();
+    server.join();
+    EXPECT_EQ(seen.offer, net::kProtocolVersion);
+  }
+
+  // A refusal surfaces verbatim, with no redial.
+  {
+    Seen seen;
+    std::thread server(serve_one_hello,
+                       net::EncodeErrorResponse(InvalidArgument("malformed tenant tag")),
+                       &seen);
+    auto refused = SandClient::Connect(options);
+    server.join();
+    ASSERT_FALSE(refused.ok());
+    EXPECT_EQ(refused.status().code(), ErrorCode::kInvalidArgument);
+    EXPECT_EQ(refused.status().message(), "malformed tenant tag");
+    pollfd pending{*listen_fd, POLLIN, 0};
+    EXPECT_EQ(::poll(&pending, 1, 0), 0) << "client redialed after a refusal";
+  }
+
+  // An ok HELLO that does not agree to our version (absent, or the retired
+  // serial version 1) fails Connect before any verb goes out.
+  for (std::optional<uint16_t> agreed : {std::optional<uint16_t>(), std::optional<uint16_t>(1)}) {
+    Seen seen;
+    std::thread server(serve_one_hello, ok_hello(agreed), &seen);
+    auto client = SandClient::Connect(options);
+    if (client.ok()) {
+      client->reset();  // hang up, so the fake server's read returns
+    }
+    server.join();
+    ASSERT_FALSE(client.ok()) << "accepted agreed version "
+                              << (agreed.has_value() ? std::to_string(*agreed) : "none");
+    EXPECT_EQ(client.status().code(), ErrorCode::kInternal);
+    EXPECT_FALSE(seen.sent_frame_after_hello);
+  }
   ::close(*listen_fd);
   ::unlink(path.c_str());
 }

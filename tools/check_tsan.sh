@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Builds the concurrency-sensitive tests with ThreadSanitizer and runs
-# them. Covers the sharded stores / tiered cache (storage_test,
+# them. Covers the circuit breaker's CAS-claimed reprobe slot
+# (common_test), the sharded stores / tiered cache (storage_test,
 # object_path_test), the executor + scheduler paths (core_test,
 # sched_test), the lock-free metrics/trace ring (obs_test), and the
 # async demand path / prefetcher (prefetch_test), the GOP-parallel
@@ -17,7 +18,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD_DIR=${BUILD_DIR:-build-tsan}
-TESTS=(storage_test object_path_test sched_test core_test obs_test prefetch_test codec_test fault_injection_test compress_tier_test trace_context_test net_test cluster_test)
+TESTS=(common_test storage_test object_path_test sched_test core_test obs_test prefetch_test codec_test fault_injection_test compress_tier_test trace_context_test net_test cluster_test)
 
 cmake -B "$BUILD_DIR" -S . -DSAND_TSAN=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD_DIR" -j"$(nproc)" --target "${TESTS[@]}"

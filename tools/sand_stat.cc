@@ -370,8 +370,8 @@ std::optional<std::string> FetchRemote(const std::string& endpoint,
                  client.status().ToString().c_str());
     return std::nullopt;
   }
-  // On stderr so stdout stays a clean snapshot: which protocol generation
-  // the server negotiated (v2 = pipelined, v1 = serial pre-pipelining).
+  // On stderr so stdout stays a clean snapshot: the protocol version the
+  // server agreed to at HELLO.
   std::fprintf(stderr, "sand_stat: %s speaks protocol v%u\n", endpoint.c_str(),
                (*client)->negotiated_version());
   auto fd = (*client)->Open(view);
