@@ -1,5 +1,7 @@
 #include "src/common/threading.h"
 
+#include <pthread.h>
+
 #include <atomic>
 
 namespace sand {
@@ -13,6 +15,10 @@ uint32_t SmallThreadId() {
 Nanos SinceProcessStart() {
   static const Nanos anchor = WallClock::Get().Now();
   return WallClock::Get().Now() - anchor;
+}
+
+void NameThread(std::thread& thread, const std::string& name) {
+  pthread_setname_np(thread.native_handle(), name.substr(0, 15).c_str());
 }
 
 }  // namespace sand

@@ -9,6 +9,8 @@
 #define SAND_COMMON_THREADING_H_
 
 #include <cstdint>
+#include <string>
+#include <thread>
 
 #include "src/common/clock.h"
 
@@ -22,6 +24,11 @@ uint32_t SmallThreadId();
 // first use). SAND_LOG prefixes and trace-event timestamps share this
 // epoch, so a log line at t=1.234s sits inside the span covering it.
 Nanos SinceProcessStart();
+
+// Names `thread` (pthread_setname_np keeps 15 bytes) for top -H, gdb and
+// /proc/<pid>/task/*/comm. SAND names each thread it starts "sand-..."
+// right after constructing it, so the name shows before the thread runs.
+void NameThread(std::thread& thread, const std::string& name);
 
 }  // namespace sand
 

@@ -1,25 +1,21 @@
 #include "src/common/worker_pool.h"
 
+#include <algorithm>
+#include <string>
 #include <utility>
 
+#include "src/common/threading.h"
 #include "src/common/trace_context.h"
 
 namespace sand {
 
 WorkerPool::WorkerPool(Options options) : options_(options) {
-  if (options_.num_threads < 1) {
-    options_.num_threads = 1;
-  }
-  if (options_.max_queued < 1) {
-    options_.max_queued = 1;
-  }
-  slots_.reserve(static_cast<size_t>(options_.num_threads));
+  options_.num_threads = std::max(1, options_.num_threads);
+  options_.max_queued = std::max<size_t>(1, options_.max_queued);
+  threads_.reserve(static_cast<size_t>(options_.num_threads));
   for (int i = 0; i < options_.num_threads; ++i) {
-    slots_.push_back(std::make_unique<Slot>());
-  }
-  threads_.reserve(slots_.size());
-  for (size_t i = 0; i < slots_.size(); ++i) {
-    threads_.emplace_back([this, i] { WorkerLoop(i); });
+    threads_.emplace_back([this] { WorkerLoop(); });
+    NameThread(threads_.back(), "sand-pool-" + std::to_string(i));
   }
 }
 
@@ -37,82 +33,36 @@ bool WorkerPool::TrySubmit(std::function<void()> task) {
   }
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (shutdown_ || pending_ >= options_.max_queued) {
-      ++stats_.rejected;
+    if (shutdown_ || tasks_.size() >= options_.max_queued) {
       return false;
     }
-    ++pending_;
-    ++stats_.submitted;
-  }
-  size_t slot = next_slot_.fetch_add(1, std::memory_order_relaxed) % slots_.size();
-  {
-    std::lock_guard<std::mutex> lock(slots_[slot]->mutex);
-    slots_[slot]->tasks.push_back(std::move(task));
+    tasks_.push_back(std::move(task));
   }
   wake_.notify_one();
   return true;
 }
 
-std::function<void()> WorkerPool::Grab(size_t self, bool* stolen) {
-  {
-    std::lock_guard<std::mutex> lock(slots_[self]->mutex);
-    if (!slots_[self]->tasks.empty()) {
-      std::function<void()> task = std::move(slots_[self]->tasks.front());
-      slots_[self]->tasks.pop_front();
-      *stolen = false;
-      return task;
-    }
-  }
-  for (size_t step = 1; step < slots_.size(); ++step) {
-    size_t victim = (self + step) % slots_.size();
-    std::lock_guard<std::mutex> lock(slots_[victim]->mutex);
-    if (!slots_[victim]->tasks.empty()) {
-      std::function<void()> task = std::move(slots_[victim]->tasks.back());
-      slots_[victim]->tasks.pop_back();
-      *stolen = true;
-      return task;
-    }
-  }
-  *stolen = false;
-  return nullptr;
-}
-
-void WorkerPool::WorkerLoop(size_t self) {
+void WorkerPool::WorkerLoop() {
+  std::unique_lock<std::mutex> lock(mutex_);
   while (true) {
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      wake_.wait(lock, [this] { return shutdown_ || pending_ > 0; });
-      if (pending_ == 0) {
-        return;  // shutdown with an empty queue
-      }
+    wake_.wait(lock, [this] { return shutdown_ || !tasks_.empty(); });
+    if (tasks_.empty()) {
+      return;  // shutdown with an empty queue
     }
-    bool stolen = false;
-    std::function<void()> task = Grab(self, &stolen);
-    if (task == nullptr) {
-      // Raced another worker to the last task; go back to sleep.
-      continue;
-    }
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      --pending_;
-      ++active_;
-      ++stats_.executed;
-      if (stolen) {
-        ++stats_.stolen;
-      }
-    }
+    std::function<void()> task = std::move(tasks_.front());
+    tasks_.pop_front();
+    ++active_;
+    lock.unlock();
     task();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      --active_;
-    }
+    lock.lock();
+    --active_;
     idle_.notify_all();
   }
 }
 
 void WorkerPool::WaitIdle() {
   std::unique_lock<std::mutex> lock(mutex_);
-  idle_.wait(lock, [this] { return pending_ == 0 && active_ == 0; });
+  idle_.wait(lock, [this] { return tasks_.empty() && active_ == 0; });
 }
 
 void WorkerPool::Shutdown() {
@@ -130,16 +80,6 @@ void WorkerPool::Shutdown() {
     }
   }
   threads_.clear();
-}
-
-WorkerPoolStats WorkerPool::stats() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
-}
-
-size_t WorkerPool::Pending() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return pending_;
 }
 
 }  // namespace sand

@@ -1,7 +1,6 @@
 #include "src/core/executor.h"
 
 #include <algorithm>
-#include <condition_variable>
 
 #include "src/common/strings.h"
 #include "src/common/threading.h"
@@ -111,12 +110,13 @@ const ConcreteNode* BaseFrameNode(const VideoObjectGraph& graph, const ConcreteN
 }  // namespace
 
 SubtreeExecutor::SubtreeExecutor(const VideoObjectGraph& graph, ContainerCache* containers,
-                                 TieredCache* cache, CpuMeter* meter, WorkerPool* decode_pool)
+                                 TieredCache* cache, CpuMeter* meter,
+                                 MaterializationScheduler* scheduler)
     : graph_(graph),
       containers_(containers),
       cache_(cache),
       meter_(meter),
-      decode_pool_(decode_pool) {}
+      scheduler_(scheduler) {}
 
 Result<VideoDecoder*> SubtreeExecutor::EnsureDecoderLocked() {
   if (!decoder_.has_value()) {
@@ -426,7 +426,7 @@ Status SubtreeExecutor::MaterializeFlagged() {
   std::sort(decode_nodes.begin(), decode_nodes.end(), [this](int a, int b) {
     return graph_.node(a).op.frame_index < graph_.node(b).op.frame_index;
   });
-  if (decode_pool_ == nullptr || decode_nodes.empty()) {
+  if (scheduler_ == nullptr || decode_nodes.empty()) {
     return MaterializeSerial(decode_nodes, todo);
   }
 
@@ -524,36 +524,16 @@ Status SubtreeExecutor::MaterializeFlagged() {
     return Status::Ok();
   };
 
-  // Fan out groups 1..N-1; the caller materializes group 0 (and any group a
-  // saturated pool refuses) inline, then waits for the rest. Tasks capture
-  // locals by reference, so the latch must always drain fully.
+  // One subtask per slice, in the calling job's class; the join returns
+  // only after every slice ran, so slices may capture locals by reference.
   std::vector<Status> results(groups.size(), Status::Ok());
-  struct Latch {
-    std::mutex mutex;
-    std::condition_variable cv;
-    size_t remaining;
-  };
-  Latch latch{{}, {}, groups.size()};
-  auto run_at = [&](size_t g) {
-    results[g] = run_group(groups[g]);
-    {
-      // Notify under the lock: the waiter destroys the latch as soon as it
-      // observes remaining == 0, so an unlocked notify could touch a dead cv.
-      std::lock_guard<std::mutex> lock(latch.mutex);
-      --latch.remaining;
-      latch.cv.notify_one();
-    }
-  };
-  for (size_t g = 1; g < groups.size(); ++g) {
-    if (!decode_pool_->TrySubmit([&run_at, g] { run_at(g); })) {
-      run_at(g);  // pool saturated: this thread materializes the slice
-    }
+  std::vector<MaterializationJob> slices;
+  slices.reserve(groups.size());
+  for (size_t g = 0; g < groups.size(); ++g) {
+    slices.push_back(MaterializationScheduler::Subtask(
+        [&results, &run_group, &groups, g] { results[g] = run_group(groups[g]); }));
   }
-  run_at(0);
-  {
-    std::unique_lock<std::mutex> lock(latch.mutex);
-    latch.cv.wait(lock, [&] { return latch.remaining == 0; });
-  }
+  scheduler_->RunAll(std::move(slices));
   for (const Status& status : results) {
     SAND_RETURN_IF_ERROR(status);
   }
@@ -584,17 +564,6 @@ void SubtreeExecutor::TrimMemo(size_t max_entries) {
     memo_.erase(memo_order_.front());
     memo_order_.pop_front();
   }
-}
-
-int64_t SubtreeExecutor::RemainingFlagged() const {
-  int64_t remaining = 0;
-  for (const ConcreteNode& node : graph_.nodes) {
-    if (node.cache && node.op.type != ConcreteOpType::kSource &&
-        (cache_ == nullptr || !cache_->Contains(NodeCacheKey(graph_, node)))) {
-      ++remaining;
-    }
-  }
-  return remaining;
 }
 
 }  // namespace sand

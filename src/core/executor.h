@@ -6,10 +6,11 @@
 // a single forward-cursor decoder per video, consults the tiered cache for
 // nodes flagged `cache`, and stores freshly produced flagged nodes back.
 //
-// Intra-view parallelism (DESIGN.md §9): when constructed with a decode
-// pool, MaterializeFlagged groups decode nodes by GOP and materializes the
-// slices concurrently — each slice task runs a stateless GopDecoder pass
-// from its I-frame, then produces the flagged subtrees rooted in that GOP.
+// Intra-view parallelism (DESIGN.md §9): when constructed with a
+// scheduler, MaterializeFlagged groups decode nodes by GOP and materializes
+// the slices concurrently as subtasks of the calling job — each slice runs
+// a stateless GopDecoder pass from its I-frame, then produces the flagged
+// subtrees rooted in that GOP.
 // The memo and counters are mutex-guarded (locks are never held across
 // recursion or decode work); concurrent cache stores stay safe via the
 // store's atomic PutIfAbsent.
@@ -26,9 +27,9 @@
 #include <vector>
 
 #include "src/codec/video_codec.h"
-#include "src/common/worker_pool.h"
 #include "src/core/container_cache.h"
 #include "src/graph/concrete_graph.h"
+#include "src/sched/scheduler.h"
 #include "src/sim/cpu_meter.h"
 #include "src/storage/object_store.h"
 
@@ -42,7 +43,7 @@ struct ExecutorStats {
   uint64_t crop_ops = 0;           // random-crop subset of aug_ops
   uint64_t cache_hits = 0;         // nodes served from the tiered cache
   uint64_t cache_stores = 0;       // nodes persisted to the tiered cache
-  uint64_t parallel_slices = 0;    // GOP slices materialized via the pool path
+  uint64_t parallel_slices = 0;    // GOP slices materialized as scheduler subtasks
 
   void Accumulate(const ExecutorStats& other) {
     frames_decoded += other.frames_decoded;
@@ -75,12 +76,12 @@ class CustomOpRegistry {
 class SubtreeExecutor {
  public:
   // `cache` may be null (pure on-demand pipelines). `meter` may be null.
-  // `decode_pool` may be null (serial materialization); when set,
-  // MaterializeFlagged fans GOP slices out on it. The pool is shared
-  // process-wide — a saturated TrySubmit makes the slice run inline on the
-  // calling thread, so executors never deadlock on it.
+  // `scheduler` may be null (serial materialization); when set,
+  // MaterializeFlagged runs GOP slices as subtasks of the calling job (its
+  // class, deadline and tenant) joined with RunAll, which never deadlocks.
   SubtreeExecutor(const VideoObjectGraph& graph, ContainerCache* containers,
-                  TieredCache* cache, CpuMeter* meter, WorkerPool* decode_pool = nullptr);
+                  TieredCache* cache, CpuMeter* meter,
+                  MaterializationScheduler* scheduler = nullptr);
 
   // Produces the frame for `node_id`, recursively producing parents.
   // `allow_cache_store`: persist flagged nodes produced along the way.
@@ -91,12 +92,8 @@ class SubtreeExecutor {
 
   // Produces and persists every cache-flagged node of the graph (the
   // pre-materialization job body). Skips nodes already in the cache.
-  // With a decode pool, GOP slices materialize concurrently.
+  // With a scheduler, GOP slices materialize concurrently.
   Status MaterializeFlagged();
-
-  // Number of cache-flagged nodes not yet present in the cache — the
-  // scheduler's remaining-work (SJF) key.
-  int64_t RemainingFlagged() const;
 
   // Snapshot of the counters (copy: safe against concurrent Produce).
   ExecutorStats stats() const;
@@ -141,7 +138,7 @@ class SubtreeExecutor {
   ContainerCache* containers_;
   TieredCache* cache_;
   CpuMeter* meter_;
-  WorkerPool* decode_pool_;
+  MaterializationScheduler* scheduler_;
 
   // Guards decoder_ (the forward cursor is single-threaded state). Never
   // held together with mutex_.

@@ -1,7 +1,6 @@
 #include "src/core/sand_service.h"
 
 #include <algorithm>
-#include <future>
 
 #include "src/common/logging.h"
 #include "src/common/strings.h"
@@ -29,11 +28,9 @@ struct ServiceMetrics {
   obs::Counter* speculative_batches;
   obs::Histogram* batch_assemble_ns;
   // Derived gauges refreshed by PublishObservability (the health monitor's
-  // pool-saturation inputs and the history recorder's utilization columns).
+  // async-saturation inputs and the history recorder's utilization columns).
   obs::Gauge* pool_async_pending;
   obs::Gauge* pool_async_capacity;
-  obs::Gauge* pool_decode_pending;
-  obs::Gauge* pool_decode_capacity;
   obs::Gauge* cache_mem_used_bytes;
   static ServiceMetrics& Get() {
     static ServiceMetrics m{
@@ -47,8 +44,6 @@ struct ServiceMetrics {
         obs::Registry::Get().GetHistogram("sand.service.batch_assemble_ns"),
         obs::Registry::Get().GetGauge("sand.pool.async.pending"),
         obs::Registry::Get().GetGauge("sand.pool.async.capacity"),
-        obs::Registry::Get().GetGauge("sand.pool.decode.pending"),
-        obs::Registry::Get().GetGauge("sand.pool.decode.capacity"),
         obs::Registry::Get().GetGauge("sand.cache.mem_used_bytes"),
     };
     return m;
@@ -73,25 +68,18 @@ SandService::SandService(std::shared_ptr<ObjectStore> dataset_store, DatasetMeta
   sched_options.disable_priorities = !options_.enable_scheduling;
   sched_options.memory_pressure = [this] { return MemoryPressure(); };
   scheduler_ = std::make_unique<MaterializationScheduler>(std::move(sched_options));
-  WorkerPool::Options pool_options;
-  pool_options.num_threads = std::max(1, options_.async_threads);
-  pool_options.max_queued = options_.async_queue_depth;
-  async_pool_ = std::make_unique<WorkerPool>(pool_options);
-  if (options_.decode_threads > 0) {
-    // One shared GOP-decode pool for every executor (demand, pre-mat,
-    // speculative): parallelism inside a view never multiplies across
-    // concurrent views beyond this bound.
-    WorkerPool::Options decode_options;
-    decode_options.num_threads = options_.decode_threads;
-    decode_options.max_queued = options_.decode_queue_depth;
-    decode_pool_ = std::make_unique<WorkerPool>(decode_options);
-  }
   task_progress_.assign(tasks_.size(), 0);
   task_active_.assign(tasks_.size(), true);
-  // The cache outlives this service (callers own it), so Shutdown() detaches
-  // the pool again before it is destroyed; the codec itself stays installed
-  // and keeps decoding (and encoding inline) after we are gone.
-  cache_->SetCompression(options_.compression, async_pool_.get());
+  // Async demotes are background jobs due at the current progress. The
+  // cache outlives this service (callers own it), so Shutdown() detaches
+  // the runner; the codec stays installed and keeps decoding (and encoding
+  // inline) after we are gone.
+  cache_->SetCompression(options_.compression, [this](std::function<void()> task) {
+    MaterializationJob job;
+    job.deadline = GlobalProgress();
+    job.run = std::move(task);
+    return SubmitAsync(std::move(job));
+  });
 
   // Observability wiring (DESIGN.md §12): ring size, health budgets, and
   // the periodic history sampler (which also refreshes our gauges and
@@ -115,12 +103,9 @@ SandService::SandService(std::shared_ptr<ObjectStore> dataset_store, DatasetMeta
 
 void SandService::PublishObservability() {
   ServiceMetrics& m = ServiceMetrics::Get();
-  m.pool_async_pending->Set(static_cast<int64_t>(async_pool_->Pending()));
-  m.pool_async_capacity->Set(static_cast<int64_t>(options_.async_queue_depth));
-  if (decode_pool_ != nullptr) {
-    m.pool_decode_pending->Set(static_cast<int64_t>(decode_pool_->Pending()));
-    m.pool_decode_capacity->Set(static_cast<int64_t>(options_.decode_queue_depth));
-  }
+  m.pool_async_pending->Set(static_cast<int64_t>(async_in_flight_.load()));
+  const size_t capacity = std::max<size_t>(1, options_.async_queue_depth);
+  m.pool_async_capacity->Set(static_cast<int64_t>(capacity));
   m.cache_mem_used_bytes->Set(static_cast<int64_t>(cache_->MemoryUsedBytes()));
 }
 
@@ -140,8 +125,8 @@ Status SandService::Start() {
 }
 
 void SandService::Shutdown() {
-  // The history sampler reads the pools and cache; detach it (blocking
-  // until any in-flight tick finishes) before they are torn down.
+  // The history sampler calls back into this service; detach it (blocking
+  // until any in-flight tick finishes).
   if (history_sampler_ != 0) {
     obs::HistoryRecorder::Get().RemoveSampler(history_sampler_);
     history_sampler_ = 0;
@@ -150,17 +135,8 @@ void SandService::Shutdown() {
     obs::HistoryRecorder::Get().Stop();
     started_history_ = false;
   }
-  // The pool drains first: its units submit to (and block on) scheduler
-  // jobs, so the scheduler must still be accepting work while they finish.
-  // The decode pool goes last: executors on both of the other pools fan
-  // GOP slices into it until they drain. Pending async demotions drain with
-  // the pool; the cache must stop submitting to it before it dies.
-  cache_->SetCompressionPool(nullptr);
-  async_pool_->Shutdown();
+  cache_->SetDemoteRunner(nullptr);
   scheduler_->Shutdown();
-  if (decode_pool_ != nullptr) {
-    decode_pool_->Shutdown();
-  }
 }
 
 Result<int> SandService::TaskIndex(const std::string& tag) const {
@@ -325,7 +301,13 @@ bool SandService::ClaimVideo(ChunkState& chunk, int video, bool wait_if_running)
     if (!wait_if_running) {
       return false;
     }
-    chunk.video_cv.wait(lock);
+    // Run a queued GOP slice (most likely the owner's) instead of idling.
+    lock.unlock();
+    const bool helped = scheduler_->HelpOnce();
+    lock.lock();
+    if (!helped && state == 1) {
+      chunk.video_cv.wait(lock);
+    }
   }
 }
 
@@ -373,7 +355,7 @@ void SandService::SubmitPreMaterialization(const std::shared_ptr<ChunkState>& ch
         return;  // a demand job already owns or finished this subtree
       }
       SubtreeExecutor executor(chunk->plan.videos[v], &containers_, cache_.get(), &cpu_meter_,
-                               decode_pool_.get());
+                               scheduler_.get());
       Status status = executor.MaterializeFlagged();
       FinishVideo(*chunk, static_cast<int>(v));
       if (!status.ok()) {
@@ -388,8 +370,24 @@ void SandService::SubmitPreMaterialization(const std::shared_ptr<ChunkState>& ch
       ServiceMetrics::Get().pre_materialize_jobs->Add(1);
       MaybeEvict();
     };
-    scheduler_->Submit(std::move(job));
+    if (!scheduler_->Submit(std::move(job)).ok()) {
+      return;  // shut down: nothing is left to pre-materialize for
+    }
   }
+}
+
+bool SandService::SubmitAsync(MaterializationJob job) {
+  const bool admitted =
+      async_in_flight_.fetch_add(1) < std::max<size_t>(1, options_.async_queue_depth);
+  job.run = [this, run = std::move(job.run)] {
+    run();
+    async_in_flight_.fetch_sub(1);
+  };
+  if (admitted && scheduler_->Submit(std::move(job)).ok()) {
+    return true;
+  }
+  async_in_flight_.fetch_sub(1);
+  return false;
 }
 
 Result<SharedBytes> SandService::Materialize(const ViewPath& path) {
@@ -411,21 +409,25 @@ Future<SharedBytes> SandService::MaterializeAsync(const ViewPath& path, bool spe
   auto promise = std::make_shared<Promise<SharedBytes>>();
   Future<SharedBytes> future = promise->future();
   bool spec_batch = speculative && path.type == ViewType::kBatchView;
-  // TrySubmit captures the caller's trace context; the span below runs on
-  // the pool thread but parents under the span submitting this unit.
-  bool submitted = async_pool_->TrySubmit([this, path, promise, spec_batch] {
+  // The job captures the caller's trace context. Its per-video jobs carry
+  // the batch's deadline, so a queued unit yields to started units' work.
+  MaterializationJob unit;
+  unit.demand_feeding = !speculative;
+  unit.speculative = speculative;
+  unit.deadline = INT64_MAX;
+  unit.run = [this, path, promise, spec_batch] {
     SAND_SPAN("async_unit");
     promise->Set(spec_batch ? MaterializeSpeculative(path) : Materialize(path));
-  });
-  if (!submitted) {
+  };
+  if (!SubmitAsync(std::move(unit))) {
     if (speculative) {
-      // Admission control: readahead never queues behind a saturated pool.
+      // Admission control: readahead never queues past the in-flight bound.
       return Future<SharedBytes>::FromResult(
-          Result<SharedBytes>(ResourceExhausted("async pool saturated: " + path.Format())));
+          Result<SharedBytes>(ResourceExhausted("async units saturated: " + path.Format())));
     }
     // Demand callers block on the future anyway; compute inline. The span
     // marks the degraded mode: a trace showing "async_inline" instead of
-    // "async_unit" means the pool was saturated at submission.
+    // "async_unit" means the in-flight bound was reached at submission.
     SAND_SPAN("async_inline");
     return Future<SharedBytes>::FromResult(Materialize(path));
   }
@@ -451,18 +453,18 @@ Result<std::vector<uint8_t>> SandService::AssembleBatch(const std::shared_ptr<Ch
   for (size_t c = 0; c < batch.clips.size(); ++c) {
     by_video[batch.clips[c].video_index].push_back(c);
   }
-  std::vector<std::future<Status>> parts;
-  parts.reserve(by_video.size());
+  // The join returns only after every job ran, so jobs may write to locals.
+  std::vector<Status> statuses(by_video.size(), Status::Ok());
+  std::vector<MaterializationJob> jobs;
+  jobs.reserve(by_video.size());
   for (const auto& [video_index, clip_slots] : by_video) {
-    auto promise = std::make_shared<std::promise<Status>>();
-    parts.push_back(promise->get_future());
     MaterializationJob job;
     job.demand_feeding = !speculative;
     job.speculative = speculative;
     job.deadline = batch.global_iteration;
     job.remaining_work = static_cast<int64_t>(clip_slots.size());
-    job.run = [this, chunk, &batch, &clips, video_index = video_index,
-               slots = clip_slots, speculative, promise] {
+    job.run = [this, chunk, &batch, &clips, video_index = video_index, slots = clip_slots,
+               speculative, result = &statuses[jobs.size()]] {
       const VideoObjectGraph& graph = chunk->plan.videos[static_cast<size_t>(video_index)];
       // Speculative units reuse a per-video executor across readahead
       // batches (warm decoder cursor + memo). Checked out exclusively; a
@@ -478,7 +480,7 @@ Result<std::vector<uint8_t>> SandService::AssembleBatch(const std::shared_ptr<Ch
       }
       if (executor == nullptr) {
         executor = std::make_unique<SubtreeExecutor>(graph, &containers_, cache_.get(),
-                                                     &cpu_meter_, decode_pool_.get());
+                                                     &cpu_meter_, scheduler_.get());
       }
       Status status = Status::Ok();
       if (options_.pre_materialize && options_.enable_scheduling) {
@@ -524,12 +526,13 @@ Result<std::vector<uint8_t>> SandService::AssembleBatch(const std::shared_ptr<Ch
           chunk->spec_executors[video_index] = std::move(executor);
         }
       }
-      promise->set_value(std::move(status));
+      *result = std::move(status);
     };
-    scheduler_->Submit(std::move(job));
+    jobs.push_back(std::move(job));
   }
-  for (std::future<Status>& part : parts) {
-    SAND_RETURN_IF_ERROR(part.get());
+  scheduler_->RunAll(std::move(jobs));
+  for (const Status& status : statuses) {
+    SAND_RETURN_IF_ERROR(status);
   }
   Result<std::vector<uint8_t>> serialized = SerializeBatch(clips);
   ServiceMetrics::Get().batch_assemble_ns->Record(
@@ -580,7 +583,7 @@ void SandService::FinishBatchServe(const ViewPath& path,
                              << result.status().ToString();
         }
       };
-      scheduler_->Submit(std::move(plan_job));
+      (void)scheduler_->Submit(std::move(plan_job));  // refused only at shutdown
     }
   }
   MaybeEvict();
@@ -778,7 +781,7 @@ Result<SharedBytes> SandService::MaterializeIntermediate(const ViewPath& path) {
   if (target == nullptr) {
     return NotFound("no planned object for " + path.Format());
   }
-  SubtreeExecutor executor(*graph, &containers_, cache_.get(), &cpu_meter_, decode_pool_.get());
+  SubtreeExecutor executor(*graph, &containers_, cache_.get(), &cpu_meter_, scheduler_.get());
   SAND_ASSIGN_OR_RETURN(Frame frame, executor.Produce(target->id, /*allow_cache_store=*/true));
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
@@ -888,20 +891,6 @@ Status SandService::OnSessionClose(const std::string& task) {
   }
   MaybeEvict();
   return Status::Ok();
-}
-
-void SandService::OnViewClose(const ViewPath& path) {
-  if (path.type != ViewType::kBatchView) {
-    return;
-  }
-  Result<int> task = TaskIndex(path.task);
-  if (!task.ok()) {
-    return;
-  }
-  // The batch was consumed; advance progress so eviction can reclaim
-  // objects whose uses are all in the past.
-  std::lock_guard<std::mutex> lock(progress_mutex_);
-  (void)*task;
 }
 
 Result<std::vector<std::string>> SandService::ListChildren(const std::string& path) {

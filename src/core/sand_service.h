@@ -5,7 +5,8 @@
 //     (src/graph), generating the next chunk before the current one expires
 //   - prunes each chunk's cache set to the storage budget (src/pruning)
 //   - executes pre-materialization as background subtree jobs and serves
-//     demand-feeding batch reads with priority over them (src/sched)
+//     demand-feeding batch reads with priority over them (src/sched: the
+//     service's one CPU pool)
 //   - persists cached objects in a tiered memory/disk cache with the
 //     paper's eviction order: used-and-not-needed first, then the object
 //     whose next use is farthest away, once usage crosses the watermark
@@ -28,7 +29,6 @@
 
 #include "src/common/bytes.h"
 #include "src/common/future.h"
-#include "src/common/worker_pool.h"
 #include "src/core/checkpoint.h"
 #include "src/core/container_cache.h"
 #include "src/core/executor.h"
@@ -51,27 +51,17 @@ struct ServiceOptions {
   uint64_t seed = 42;
   CostModel costs;
 
-  // Materialization & scheduling.
+  // Materialization & scheduling. The scheduler's `num_threads` workers are
+  // the service's only threads; every job class shares them (DESIGN.md §8).
   int num_threads = 4;
   bool enable_scheduling = true;   // false: FIFO pops (Fig. 18 ablation)
   bool pre_materialize = true;     // false: pure demand pipeline
   double sjf_watermark = 0.8;      // memory pressure that flips EDF -> SJF
 
-  // Async demand path (DESIGN.md §8): MaterializeAsync units run on a
-  // bounded work-stealing pool separate from the scheduler's workers (they
-  // coordinate and block on scheduler jobs). When the pool is saturated,
-  // demand units fall back to inline execution and speculative units are
-  // refused (RESOURCE_EXHAUSTED).
-  int async_threads = 2;
+  // Bound on MaterializeAsync units and async demotes in flight (queued or
+  // running; 0 counts as 1). Over it, demand units and demotes run inline
+  // and speculative units fail RESOURCE_EXHAUSTED (DESIGN.md §8).
   size_t async_queue_depth = 32;
-
-  // Intra-view GOP-parallel decode (DESIGN.md §9): one process-wide pool
-  // shared by demand, pre-materialization, and speculative executors, so
-  // concurrent materialization units contend for a bounded set of decode
-  // threads instead of each spawning their own (no oversubscription). 0
-  // disables the pool (serial per-view decode, the pre-PR-4 behavior).
-  int decode_threads = 4;
-  size_t decode_queue_depth = 64;
   // Readahead configuration handed to the embedded SandFs prefetcher
   // (window = 0 keeps speculation off).
   PrefetchOptions prefetch;
@@ -98,8 +88,8 @@ struct ServiceOptions {
   double evict_watermark = 0.75;
   size_t container_cache_entries = 8;
   // Transparent cache compression (DESIGN.md §11): installed on the cache at
-  // construction; encodes run on the async pool so demotion stays off the
-  // demand path. Disabled by default (the cache stores raw bytes, as before).
+  // construction; encodes run as background jobs, off the demand path.
+  // Disabled by default (the cache stores raw bytes, as before).
   CompressionPolicy compression;
 };
 
@@ -111,7 +101,7 @@ struct ServiceStats {
   uint64_t evictions = 0;
   uint64_t chunks_planned = 0;
   uint64_t recovered_objects = 0;
-  uint64_t async_units = 0;          // MaterializeAsync units run on the pool
+  uint64_t async_units = 0;          // MaterializeAsync units run as scheduler jobs
   uint64_t speculative_batches = 0;  // batches produced by readahead units
   uint64_t disk_degraded = 0;        // 1 while the disk tier is offline (memory-only)
 };
@@ -126,12 +116,13 @@ class SandService : public ViewProvider {
   // Plans the first chunk and launches pre-materialization.
   Status Start();
 
-  // Drains in-flight work and stops the worker pool.
+  // Drains in-flight work and stops the scheduler's workers.
   void Shutdown();
 
   // --- ViewProvider -------------------------------------------------------
   Result<SharedBytes> Materialize(const ViewPath& path) override;
-  // Native async path: the unit runs on the bounded work-stealing pool.
+  // Native async path: the unit runs as a scheduler job (demand class, or
+  // speculative for readahead), admitted up to async_queue_depth in flight.
   // Speculative batch units additionally persist their result (pinned) in
   // the tiered cache so readahead survives prefetcher LRU eviction.
   Future<SharedBytes> MaterializeAsync(const ViewPath& path, bool speculative) override;
@@ -139,7 +130,6 @@ class SandService : public ViewProvider {
   Result<std::string> GetMetadata(const ViewPath& path, const std::string& name) override;
   Status OnSessionOpen(const std::string& task) override;
   Status OnSessionClose(const std::string& task) override;
-  void OnViewClose(const ViewPath& path) override;
   Result<std::vector<std::string>> ListChildren(const std::string& path) override;
   // Refreshes derived gauges (pool depths, cache residency) — called by
   // SandFs before /.sand control snapshots and by the history sampler.
@@ -155,20 +145,11 @@ class SandService : public ViewProvider {
   void SetTenantRunningCap(uint32_t tenant_id, int max_running) {
     scheduler_->SetTenantRunningCap(tenant_id, max_running);
   }
-  WorkerPoolStats async_pool_stats() { return async_pool_->stats(); }
-  // Stats of the shared GOP-decode pool; zeros when decode_threads == 0.
-  WorkerPoolStats decode_pool_stats() {
-    return decode_pool_ ? decode_pool_->stats() : WorkerPoolStats{};
-  }
   ServiceStats stats();
   // Pruning report of the most recently planned chunk.
   PruningReport last_pruning_report();
   // Blocks until all queued background jobs complete (tests/benches).
-  // Pool units submit scheduler jobs, so the pool drains first.
-  void WaitForBackgroundWork() {
-    async_pool_->WaitIdle();
-    scheduler_->WaitIdle();
-  }
+  void WaitForBackgroundWork() { scheduler_->WaitIdle(); }
 
   // Crash recovery (§5.5): rescan the disk tier, restore the metadata
   // checkpoint if one is present (training progress), rebuild the current
@@ -206,7 +187,7 @@ class SandService : public ViewProvider {
   // Claims video `v` of `chunk` for materialization. Returns true when the
   // caller should run the subtree job; false when it was already done (or,
   // with wait_if_running, after waiting for the running owner).
-  static bool ClaimVideo(ChunkState& chunk, int video, bool wait_if_running);
+  bool ClaimVideo(ChunkState& chunk, int video, bool wait_if_running);
   static void FinishVideo(ChunkState& chunk, int video);
 
   struct EvictMeta {
@@ -249,6 +230,10 @@ class SandService : public ViewProvider {
 
   void SubmitPreMaterialization(const std::shared_ptr<ChunkState>& chunk);
 
+  // Submits an async unit or demote under the async_queue_depth bound;
+  // false when over it or shut down (the caller runs or refuses the work).
+  bool SubmitAsync(MaterializationJob job);
+
   // Applies the eviction policy when cache usage crosses the watermark.
   void MaybeEvict();
   // Smallest in-progress global iteration across active tasks.
@@ -263,13 +248,8 @@ class SandService : public ViewProvider {
   std::shared_ptr<TieredCache> cache_;
   ContainerCache containers_;
   std::unique_ptr<MaterializationScheduler> scheduler_;
-  std::unique_ptr<WorkerPool> async_pool_;
-  // Shared GOP-slice decode pool (null when decode_threads == 0). Slice
-  // tasks never block on other pool tasks (saturation falls back inline in
-  // the executor), so it is safe for scheduler and async-pool threads to
-  // fan into it. Shut down last: executors running on the other pools may
-  // still be fanning slices into it while they drain.
-  std::unique_ptr<WorkerPool> decode_pool_;
+  // Async units and demotes admitted and not yet finished.
+  std::atomic<size_t> async_in_flight_{0};
   SandFs fs_;
   CpuMeter cpu_meter_;
 
@@ -295,8 +275,7 @@ class SandService : public ViewProvider {
 
   // History-recorder hookup (DESIGN.md §12): the sampler publishes this
   // service's derived gauges and evaluates health each tick. Removed (and
-  // the recorder stopped, if we started it) at the top of Shutdown, before
-  // the pools it reads are torn down.
+  // the recorder stopped, if we started it) in Shutdown.
   uint64_t history_sampler_ = 0;
   bool started_history_ = false;
 };

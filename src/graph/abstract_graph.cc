@@ -77,15 +77,6 @@ Result<AbstractViewGraph> AbstractViewGraph::Build(const TaskConfig& config) {
   return graph;
 }
 
-int AbstractViewGraph::FindStream(const std::string& stream) const {
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    if (nodes_[i].stream == stream) {
-      return static_cast<int>(i);
-    }
-  }
-  return -1;
-}
-
 std::vector<std::string> AbstractViewGraph::TerminalStreams() const {
   std::vector<std::string> terminals;
   for (const AugStage& stage : config_.augmentation) {

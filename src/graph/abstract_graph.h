@@ -47,9 +47,6 @@ class AbstractViewGraph {
   // the pathname of the video dataset").
   const std::string& root_label() const { return config_.dataset_path; }
 
-  // Index of the node carrying the given stream name, or -1.
-  int FindStream(const std::string& stream) const;
-
   // Signature of the whole operation path from the root to the terminal
   // stream. Two tasks whose path signatures match can share every
   // intermediate object (given coordinated randomness).

@@ -7,6 +7,8 @@
 #include <cstring>
 #include <utility>
 
+#include "src/common/threading.h"
+
 namespace sand {
 namespace net {
 
@@ -89,6 +91,7 @@ size_t SandClient::inflight() const {
 
 void SandClient::StartReader() {
   reader_ = std::thread([this] { ReaderLoop(); });
+  NameThread(reader_, "sand-client-rd");
 }
 
 void SandClient::ReaderLoop() {

@@ -86,9 +86,11 @@ Status SandServer::Start() {
   running_ = true;
   for (int fd : listen_fds_) {
     accept_threads_.emplace_back([this, fd] { AcceptLoop(fd); });
+    NameThread(accept_threads_.back(), "sand-srv-accept");
   }
   if (options_.idle_timeout_ms > 0) {
     reaper_thread_ = std::thread([this] { ReaperLoop(); });
+    NameThread(reaper_thread_, "sand-srv-reaper");
   }
   return Status::Ok();
 }
@@ -198,6 +200,7 @@ void SandServer::AcceptLoop(int listen_fd) {
       ++stats_.active_connections;
     }
     conn->thread = std::thread([this, raw] { ServeConnection(raw); });
+    NameThread(conn->thread, "sand-srv-conn");
     connections_.push_back(std::move(conn));
   }
 }

@@ -35,6 +35,7 @@ void HistoryRecorder::Start(const Options& options) {
                    [this] { return !running_; });
     }
   });
+  NameThread(thread_, "sand-history");
 }
 
 void HistoryRecorder::Stop() {

@@ -2,12 +2,29 @@
 
 #include <algorithm>
 #include <cassert>
+#include <string>
 
 #include "src/common/threading.h"
 #include "src/obs/attribution.h"
 #include "src/obs/trace.h"
 
 namespace sand {
+
+// On the RunAll caller's stack, guarded by mutex_; `done` is notified under
+// mutex_ so the waiter may destroy it as soon as it sees remaining == 0.
+struct JoinGroup {
+  size_t remaining = 0;
+  std::condition_variable done;
+};
+
+namespace {
+
+// The scheduler whose worker loop owns this thread, and the job the thread
+// is running now (null outside a job); RunAll and Subtask read them.
+thread_local MaterializationScheduler* tls_worker_of = nullptr;
+thread_local const MaterializationJob* tls_running = nullptr;
+
+}  // namespace
 
 MaterializationScheduler::MaterializationScheduler(Options options)
     : options_(std::move(options)),
@@ -25,19 +42,98 @@ MaterializationScheduler::MaterializationScheduler(Options options)
   workers_.reserve(static_cast<size_t>(options_.num_threads));
   for (int i = 0; i < options_.num_threads; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
+    NameThread(workers_.back(), "sand-sched-" + std::to_string(i));
   }
 }
 
 MaterializationScheduler::~MaterializationScheduler() { Shutdown(); }
 
-void MaterializationScheduler::Submit(MaterializationJob job) {
+Status MaterializationScheduler::Submit(MaterializationJob job) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    assert(!shutdown_ && "Submit after Shutdown");
+    if (shutdown_) {
+      return FailedPrecondition("scheduler shut down");
+    }
     queue_.push_back(std::move(job));
     queue_depth_->Set(static_cast<int64_t>(queue_.size()));
   }
   wake_.notify_one();
+  return Status::Ok();
+}
+
+void MaterializationScheduler::RunAll(std::vector<MaterializationJob> jobs) {
+  JoinGroup group;
+  group.remaining = jobs.size();
+  std::unique_lock<std::mutex> lock(mutex_);
+  for (MaterializationJob& job : jobs) {
+    job.group = &group;
+    queue_.push_back(std::move(job));
+  }
+  queue_depth_->Set(static_cast<int64_t>(queue_.size()));
+  wake_.notify_all();
+  // After Shutdown no worker may be left to run them, so the caller does.
+  const bool runs_own = tls_worker_of == this || shutdown_;
+  while (group.remaining > 0) {
+    auto next = queue_.end();
+    if (runs_own) {
+      next = std::find_if(queue_.begin(), queue_.end(),
+                          [&group](const MaterializationJob& job) { return job.group == &group; });
+      if (next == queue_.end()) {
+        next = FindSubtaskLocked();
+      }
+    }
+    if (next == queue_.end()) {
+      group.done.wait(lock);
+    } else {
+      RunInlineLocked(next, lock);
+    }
+  }
+}
+
+bool MaterializationScheduler::HelpOnce() {
+  std::unique_lock<std::mutex> lock(mutex_);
+  auto next = FindSubtaskLocked();
+  if (next == queue_.end()) {
+    return false;
+  }
+  RunInlineLocked(next, lock);
+  return true;
+}
+
+std::list<MaterializationJob>::iterator MaterializationScheduler::FindSubtaskLocked() {
+  if (tls_worker_of != this || tls_running == nullptr) {
+    return queue_.end();
+  }
+  const uint32_t tenant = tls_running->ctx.tenant_id;
+  return std::find_if(queue_.begin(), queue_.end(), [tenant](const MaterializationJob& job) {
+    return job.subtask && job.ctx.tenant_id == tenant;
+  });
+}
+
+void MaterializationScheduler::RunInlineLocked(std::list<MaterializationJob>::iterator it,
+                                               std::unique_lock<std::mutex>& lock) {
+  MaterializationJob job = std::move(*it);
+  queue_.erase(it);
+  queue_depth_->Set(static_cast<int64_t>(queue_.size()));
+  CountStartLocked(job);
+  lock.unlock();
+  Execute(job);
+  lock.lock();
+  if (job.group != nullptr && --job.group->remaining == 0) {
+    job.group->done.notify_one();
+  }
+}
+
+MaterializationJob MaterializationScheduler::Subtask(std::function<void()> run) {
+  const MaterializationJob* parent = tls_running;
+  MaterializationJob job;
+  job.deadline = parent != nullptr ? parent->deadline : 0;
+  job.remaining_work = parent != nullptr ? parent->remaining_work : 0;
+  job.demand_feeding = parent == nullptr || parent->demand_feeding;
+  job.speculative = parent != nullptr && parent->speculative;
+  job.run = std::move(run);
+  job.subtask = true;
+  return job;
 }
 
 bool MaterializationScheduler::TenantCappedLocked(const MaterializationJob& job) {
@@ -186,7 +282,34 @@ void MaterializationScheduler::SetTenantRunningCap(uint32_t tenant_id, int max_r
   wake_.notify_all();
 }
 
+void MaterializationScheduler::CountStartLocked(const MaterializationJob& job) {
+  ++stats_.jobs_run;
+  ++stats_.jobs_run_by_tenant[job.ctx.tenant_id];
+  jobs_run_->Add(1);
+  if (job.demand_feeding) {
+    ++stats_.demand_jobs_run;
+    demand_jobs_run_->Add(1);
+  }
+}
+
+void MaterializationScheduler::Execute(const MaterializationJob& job) {
+  if (obs::TenantMetrics* tenant = obs::TenantMetricsFor(job.ctx.tenant_id)) {
+    tenant->sched_jobs_run->Add(1);
+  }
+  const MaterializationJob* outer = tls_running;
+  tls_running = &job;
+  {
+    ScopedTraceContext trace_scope(job.ctx);
+    SAND_SPAN("sched_job");
+    Nanos start = SinceProcessStart();
+    job.run();
+    job_latency_ns_->Record(static_cast<uint64_t>(SinceProcessStart() - start));
+  }
+  tls_running = outer;
+}
+
 void MaterializationScheduler::WorkerLoop() {
+  tls_worker_of = this;
   while (true) {
     MaterializationJob job;
     {
@@ -202,30 +325,18 @@ void MaterializationScheduler::WorkerLoop() {
       }
       job = PopLocked();
       ++active_;
-      ++stats_.jobs_run;
-      ++stats_.jobs_run_by_tenant[job.ctx.tenant_id];
-      jobs_run_->Add(1);
-      if (job.demand_feeding) {
-        ++stats_.demand_jobs_run;
-        demand_jobs_run_->Add(1);
-      }
+      CountStartLocked(job);
     }
-    if (obs::TenantMetrics* tenant = obs::TenantMetricsFor(job.ctx.tenant_id)) {
-      tenant->sched_jobs_run->Add(1);
-    }
-    {
-      ScopedTraceContext trace_scope(job.ctx);
-      SAND_SPAN("sched_job");
-      Nanos start = SinceProcessStart();
-      job.run();
-      job_latency_ns_->Record(static_cast<uint64_t>(SinceProcessStart() - start));
-    }
+    Execute(job);
     {
       std::lock_guard<std::mutex> lock(mutex_);
       --active_;
       auto running = tenant_running_.find(job.ctx.tenant_id);
       if (running != tenant_running_.end() && --running->second <= 0) {
         tenant_running_.erase(running);
+      }
+      if (job.group != nullptr && --job.group->remaining == 0) {
+        job.group->done.notify_one();
       }
     }
     // Completion may unblock a worker parked on a capped tenant as well as

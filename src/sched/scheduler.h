@@ -1,11 +1,15 @@
 // Priority-based materialization scheduling (paper §5.4).
 //
-// Three worker classes share one CPU thread pool:
+// The one CPU pool a SandService owns (workers "sand-sched-<i>"). Three
+// worker classes share it:
 //   demand-feeding      - prepares the batch the GPU needs *now*; always
 //                         wins over background work
 //   pre-materialization - produces objects for upcoming iterations/epochs
+//                         (background work, compressed demotes included)
 //   speculative         - prefetcher readahead of predicted next batches
-//                         (the async demand path's pipelined units)
+//
+// Jobs may fan out and block in RunAll, a join that cannot deadlock the
+// pool at any size (DESIGN.md §8-§9).
 //
 // Background jobs are ordered earliest-deadline-first, where a job's
 // deadline is the global iteration at which its object is consumed. When
@@ -40,10 +44,13 @@
 #include <thread>
 #include <vector>
 
+#include "src/common/result.h"
 #include "src/common/trace_context.h"
 #include "src/obs/metrics.h"
 
 namespace sand {
+
+struct JoinGroup;  // RunAll's completion count (scheduler.cc)
 
 struct MaterializationJob {
   // Smaller = needed sooner. Deadlines are global iteration numbers.
@@ -59,6 +66,10 @@ struct MaterializationJob {
   // Captured at construction on the submitting thread; the worker restores
   // it around run() so the job's spans join the submitter's trace.
   TraceContext ctx = CurrentTraceContext();
+  // Set by RunAll: the join this job belongs to (null for Submit).
+  JoinGroup* group = nullptr;
+  // Set by Subtask: a leaf that never blocks on other jobs (see HelpOnce).
+  bool subtask = false;
 };
 
 struct SchedulerStats {
@@ -90,7 +101,25 @@ class MaterializationScheduler {
   MaterializationScheduler(const MaterializationScheduler&) = delete;
   MaterializationScheduler& operator=(const MaterializationScheduler&) = delete;
 
-  void Submit(MaterializationJob job);
+  // Queues `job`; FailedPrecondition after Shutdown (the cache and the
+  // prefetcher can submit late), and the caller runs or drops the work.
+  Status Submit(MaterializationJob job);
+
+  // Group join: queues `jobs` and returns once all have run. A worker of
+  // this scheduler waiting here runs its jobs that have not started yet,
+  // then its tenant's queued subtasks, inside the slot of the job it is
+  // blocked in, and sleeps only when there are none: no deadlock at any
+  // pool size, and no tenant above its cap. Any other thread only waits.
+  // After Shutdown the jobs run on the caller.
+  void RunAll(std::vector<MaterializationJob> jobs);
+
+  // A job with the class, deadline and trace/tenant context of the job
+  // running on this thread (demand class outside any job): a GOP slice.
+  static MaterializationJob Subtask(std::function<void()> run);
+
+  // For a job about to wait on another's result: runs one queued subtask
+  // of its tenant instead of idling; false when there is none.
+  bool HelpOnce();
 
   // Caps how many of `tenant_id`'s jobs may run concurrently (its
   // scheduler quota). Clamped to >= 1 so a capped tenant always makes
@@ -108,6 +137,16 @@ class MaterializationScheduler {
 
  private:
   void WorkerLoop();
+  // Books a job that is about to run (stats and registry counters).
+  void CountStartLocked(const MaterializationJob& job);
+  // Runs `job` on this thread under its trace context; records latency.
+  void Execute(const MaterializationJob& job);
+  // A queued subtask of the tenant whose job this worker runs, or end().
+  std::list<MaterializationJob>::iterator FindSubtaskLocked();
+  // Runs queued job `it` on this worker inside the slot of the job it is
+  // blocked in (so its tenant's running count already covers it).
+  void RunInlineLocked(std::list<MaterializationJob>::iterator it,
+                       std::unique_lock<std::mutex>& lock);
   // Extracts the next job per the current policy. Caller holds mutex_ and
   // has verified HasRunnableLocked().
   MaterializationJob PopLocked();

@@ -17,7 +17,6 @@
 #include "src/common/crc32.h"
 #include "src/common/logging.h"
 #include "src/common/strings.h"
-#include "src/common/worker_pool.h"
 #include "src/obs/trace.h"
 
 namespace sand {
@@ -794,7 +793,7 @@ void TieredCache::PublishToPeer(const std::string& key, SharedBytes data) {
   (void)peer->PutShared(key, std::move(data));
 }
 
-void TieredCache::SetCompression(const CompressionPolicy& policy, WorkerPool* pool) {
+void TieredCache::SetCompression(const CompressionPolicy& policy, AsyncRunner runner) {
   std::shared_ptr<ObjectCodec> codec;
   if (policy.enabled) {
     codec = std::make_shared<ObjectCodec>(policy);
@@ -807,12 +806,14 @@ void TieredCache::SetCompression(const CompressionPolicy& policy, WorkerPool* po
     std::lock_guard<std::mutex> lock(codec_mutex_);
     codec_ = std::move(codec);
   }
-  compress_pool_.store(policy.enabled ? pool : nullptr, std::memory_order_release);
+  SetDemoteRunner(policy.enabled ? std::move(runner) : nullptr);
   compression_on_.store(policy.enabled, std::memory_order_release);
 }
 
-void TieredCache::SetCompressionPool(WorkerPool* pool) {
-  compress_pool_.store(pool, std::memory_order_release);
+void TieredCache::SetDemoteRunner(AsyncRunner runner) {
+  auto shared = runner ? std::make_shared<const AsyncRunner>(std::move(runner)) : nullptr;
+  std::lock_guard<std::mutex> lock(codec_mutex_);
+  demote_runner_ = std::move(shared);
 }
 
 void TieredCache::NoteBaseObject(const std::string& key, const std::string& base_key) {
@@ -1176,22 +1177,22 @@ Status TieredCache::Demote(const std::string& key) {
   if (!disk_breaker_.Allow()) {
     return Unavailable("disk tier offline: cannot demote " + key);
   }
-  if (Codec() != nullptr) {
-    if (WorkerPool* pool = compress_pool_.load(std::memory_order_acquire)) {
-      // Encode off the demand path; Demote returns as soon as the spill is
-      // enqueued. A full queue falls back to the inline path below.
-      if (pool->TrySubmit([this, key] {
-            const Status status = DemoteCompressed(key);
-            if (!status.ok() && status.code() != ErrorCode::kNotFound &&
-                status.code() != ErrorCode::kFailedPrecondition) {
-              demote_failures_->Add(1);
-              SAND_LOG(kWarning) << "async demote of " << key
-                                 << " failed: " << status.ToString();
-            }
-          })) {
-        return Status::Ok();
-      }
-    }
+  std::shared_ptr<const AsyncRunner> runner;
+  {
+    std::lock_guard<std::mutex> lock(codec_mutex_);
+    runner = codec_ != nullptr ? demote_runner_ : nullptr;
+  }
+  // Encode off the demand path; Demote returns as soon as the runner takes
+  // the spill. A refusal falls back to the inline path below.
+  if (runner != nullptr && (*runner)([this, key] {
+        const Status status = DemoteCompressed(key);
+        if (!status.ok() && status.code() != ErrorCode::kNotFound &&
+            status.code() != ErrorCode::kFailedPrecondition) {
+          demote_failures_->Add(1);
+          SAND_LOG(kWarning) << "async demote of " << key << " failed: " << status.ToString();
+        }
+      })) {
+    return Status::Ok();
   }
   return DemoteCompressed(key);
 }

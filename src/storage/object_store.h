@@ -39,7 +39,9 @@
 
 namespace sand {
 
-class WorkerPool;
+// Runs `task` asynchronously, or returns false and the caller runs it. The
+// demote runner of TieredCache; SandService installs a scheduler-backed one.
+using AsyncRunner = std::function<bool(std::function<void()>)>;
 
 // Key-hash shards per store. 16 shards keep lock collisions rare at the
 // scheduler thread counts this repo runs (4-16 workers) while costing only
@@ -312,22 +314,22 @@ class TieredCache {
 
   // Moves an object from memory to disk (spill) keeping it cached. With
   // compression enabled the object is encoded on the way down (per the
-  // policy's codec for its key class); when a worker pool is attached the
-  // encode+spill runs asynchronously and Demote returns as soon as the work
-  // is enqueued, so demotion never blocks the demand path.
+  // policy's codec for its key class). With an async runner attached the
+  // encode+spill runs there and Demote returns once the runner takes it,
+  // off the demand path; a refusal encodes inline.
   Status Demote(const std::string& key);
 
   // --- Transparent compression (DESIGN.md §11) ----------------------------
-  // Installs the compression policy (and optionally the worker pool that
-  // runs async demotions). Objects are encoded on Demote — and on disk-tier
+  // Installs the compression policy (and optionally the runner for async
+  // demotions). Objects are encoded on Demote — and on disk-tier
   // Put when the policy says so — and transparently decoded on GetShared
   // hits; a compressed object that fails to decode is dropped and surfaces
   // as a miss, never as corrupt bytes. Call before the cache is shared with
   // concurrent readers (service startup), like the constructor arguments.
-  void SetCompression(const CompressionPolicy& policy, WorkerPool* pool = nullptr);
-  // Attaches/detaches the async demotion pool. The pool owner must detach
-  // (nullptr) before destroying the pool; pass a drained pool only.
-  void SetCompressionPool(WorkerPool* pool);
+  void SetCompression(const CompressionPolicy& policy, AsyncRunner runner = nullptr);
+  // Attaches/detaches the async demotion runner. Its owner detaches
+  // (nullptr) before whatever the runner submits to goes away.
+  void SetDemoteRunner(AsyncRunner runner);
   bool compression_enabled() const {
     return compression_on_.load(std::memory_order_relaxed);
   }
@@ -365,7 +367,6 @@ class TieredCache {
   uint64_t MemoryUsedBytes() { return memory_->UsedBytes(); }
   uint64_t DiskUsedBytes() { return disk_->UsedBytes(); }
   uint64_t MemoryCapacityBytes() { return memory_->CapacityBytes(); }
-  uint64_t DiskCapacityBytes() { return disk_->CapacityBytes(); }
 
   ObjectStore& memory() { return *memory_; }
   ObjectStore& disk() { return *disk_; }
@@ -400,7 +401,7 @@ class TieredCache {
   // An undecodable object returns the decode error (callers turn it into a
   // miss).
   Result<SharedBytes> MaybeDecode(SharedBytes data);
-  // The encode+spill half of Demote (runs inline or on the worker pool).
+  // The encode+spill half of Demote (runs inline or on the async runner).
   Status DemoteCompressed(const std::string& key);
 
   // Runs one disk-tier op with the retry policy and records the outcome in
@@ -425,13 +426,14 @@ class TieredCache {
   std::mutex pin_mutex_;
   std::map<std::string, int> pins_;
 
-  // Compression state. codec_ is published under codec_mutex_ (cold path);
-  // compression_on_ is the hot-path gate, and the pool pointer is atomic so
-  // the owner can detach it at shutdown without racing demotions.
+  // Compression state. codec_ and demote_runner_ are published under
+  // codec_mutex_ (cold path; Demote snapshots the runner, so the owner can
+  // detach it at shutdown without racing demotions); compression_on_ is the
+  // hot-path gate.
   std::atomic<bool> compression_on_{false};
   mutable std::mutex codec_mutex_;
   std::shared_ptr<ObjectCodec> codec_;
-  std::atomic<WorkerPool*> compress_pool_{nullptr};
+  std::shared_ptr<const AsyncRunner> demote_runner_;
 
   // Registry-backed counters (process-global, cached here).
   obs::Counter* memory_hits_;

@@ -129,7 +129,9 @@ TEST_F(CompressTierTest, AsyncDemoteOnWorkerPool) {
   WorkerPool::Options pool_options;
   pool_options.num_threads = 2;
   WorkerPool pool(pool_options);
-  cache.SetCompression(LosslessEverywhere(), &pool);
+  cache.SetCompression(LosslessEverywhere(), [&pool](std::function<void()> task) {
+    return pool.TrySubmit(std::move(task));
+  });
 
   std::vector<std::string> keys;
   for (int i = 0; i < 8; ++i) {
@@ -150,7 +152,7 @@ TEST_F(CompressTierTest, AsyncDemoteOnWorkerPool) {
     ASSERT_TRUE(got.ok());
     EXPECT_EQ(**got, FrameBytes(32, 48, 3, 100 + i));
   }
-  cache.SetCompressionPool(nullptr);
+  cache.SetDemoteRunner(nullptr);
 }
 
 TEST_F(CompressTierTest, PinnedObjectIsNeverDemoted) {
@@ -160,7 +162,9 @@ TEST_F(CompressTierTest, PinnedObjectIsNeverDemoted) {
   WorkerPool::Options pool_options;
   pool_options.num_threads = 1;
   WorkerPool pool(pool_options);
-  cache.SetCompression(LosslessEverywhere(), &pool);
+  cache.SetCompression(LosslessEverywhere(), [&pool](std::function<void()> task) {
+    return pool.TrySubmit(std::move(task));
+  });
 
   const auto raw = FrameBytes(32, 48, 3, 3);
   const std::string key = "cache/vid/f2/npinned";
@@ -183,7 +187,7 @@ TEST_F(CompressTierTest, PinnedObjectIsNeverDemoted) {
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(**got, raw);
   cache.Unpin(key);
-  cache.SetCompressionPool(nullptr);
+  cache.SetDemoteRunner(nullptr);
 }
 
 TEST_F(CompressTierTest, MidCompressCrashNeverPublishesTruncatedObject) {

@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
+#include <map>
 
 #include "src/common/strings.h"
 #include "src/core/batch_format.h"
@@ -424,14 +426,14 @@ TEST(SubtreeExecutorTest, ParallelMaterializeFlaggedMatchesSerial) {
   ASSERT_TRUE(plan.ok());
 
   ContainerCache containers(store, 8);
-  WorkerPool pool(WorkerPool::Options{4, 64});
+  MaterializationScheduler scheduler(MaterializationScheduler::Options{});
   for (const VideoObjectGraph& graph : plan->videos) {
     auto serial_cache = std::make_shared<TieredCache>(std::make_shared<MemoryStore>(64ULL << 20),
                                                       std::make_shared<MemoryStore>(64ULL << 20));
     auto parallel_cache = std::make_shared<TieredCache>(
         std::make_shared<MemoryStore>(64ULL << 20), std::make_shared<MemoryStore>(64ULL << 20));
     SubtreeExecutor serial(graph, &containers, serial_cache.get(), nullptr);
-    SubtreeExecutor parallel(graph, &containers, parallel_cache.get(), nullptr, &pool);
+    SubtreeExecutor parallel(graph, &containers, parallel_cache.get(), nullptr, &scheduler);
     ASSERT_TRUE(serial.MaterializeFlagged().ok());
     ASSERT_TRUE(parallel.MaterializeFlagged().ok());
 
@@ -454,8 +456,9 @@ TEST(SubtreeExecutorTest, ParallelMaterializeFlaggedMatchesSerial) {
     EXPECT_EQ(a.frames_decoded, b.frames_decoded);
     EXPECT_EQ(a.decode_ops, b.decode_ops);
     EXPECT_EQ(a.cache_stores, b.cache_stores);
+    EXPECT_GT(b.parallel_slices, 1u) << "views span several GOPs";
   }
-  pool.Shutdown();
+  scheduler.Shutdown();
 }
 
 TEST(SubtreeExecutorTest, TrimMemoEvictsOldestKeepsRecent) {
@@ -492,6 +495,44 @@ TEST(SubtreeExecutorTest, TrimMemoEvictsOldestKeepsRecent) {
   EXPECT_EQ(executor.stats().decode_ops, 2u) << "recent entry must survive the trim";
   ASSERT_TRUE(executor.Produce(decode_nodes[0], false).ok());
   EXPECT_EQ(executor.stats().decode_ops, 3u) << "oldest entry must have been evicted";
+}
+
+// ---------------------------------------------------------------------------
+// Threads: the scheduler is the only pool a service starts.
+
+// The calling process's threads: tid -> name, from /proc/self/task.
+std::map<std::string, std::string> ProcessThreads() {
+  std::map<std::string, std::string> threads;
+  for (const auto& entry : std::filesystem::directory_iterator("/proc/self/task")) {
+    std::ifstream comm(entry.path() / "comm");
+    std::string name;
+    std::getline(comm, name);
+    threads[entry.path().filename().string()] = name;
+  }
+  return threads;
+}
+
+TEST(SandServiceThreadsTest, StartsExactlyNumThreadsNamedAndJoinsThem) {
+  auto dataset_store = std::make_shared<MemoryStore>();
+  auto meta = BuildSyntheticDataset(*dataset_store, SmallDataset());
+  ASSERT_TRUE(meta.ok());
+  auto cache = std::make_shared<TieredCache>(std::make_shared<MemoryStore>(64ULL << 20),
+                                             std::make_shared<MemoryStore>(256ULL << 20));
+  const ServiceOptions options;
+  const auto before = ProcessThreads();
+  auto service = std::make_unique<SandService>(
+      dataset_store, *meta, cache,
+      std::vector<TaskConfig>{MakeTaskConfig(SmallProfile(), meta->path, "train")}, options);
+  ASSERT_TRUE(service->Start().ok());
+  const auto running = ProcessThreads();
+  EXPECT_EQ(running.size(), before.size() + static_cast<size_t>(options.num_threads));
+  for (const auto& [tid, name] : running) {
+    if (before.count(tid) == 0) {
+      EXPECT_EQ(name.rfind("sand-", 0), 0u) << "thread " << tid << " is named '" << name << "'";
+    }
+  }
+  service->Shutdown();
+  EXPECT_EQ(ProcessThreads().size(), before.size()) << "Shutdown must join every worker";
 }
 
 }  // namespace

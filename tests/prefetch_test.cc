@@ -4,6 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
+#include <thread>
+
 #include <map>
 #include <mutex>
 #include <string>
@@ -335,7 +341,7 @@ struct ServiceRig {
   std::unique_ptr<SandService> service;
 };
 
-ServiceRig MakeServiceRig(ServiceOptions options) {
+ServiceRig MakeServiceRig(ServiceOptions options, int gop_size = 4) {
   ServiceRig rig;
   rig.dataset_store = std::make_shared<MemoryStore>();
   SyntheticDatasetOptions dataset;
@@ -343,7 +349,7 @@ ServiceRig MakeServiceRig(ServiceOptions options) {
   dataset.frames_per_video = 24;
   dataset.height = 24;
   dataset.width = 32;
-  dataset.gop_size = 4;
+  dataset.gop_size = gop_size;
   dataset.seed = 77;
   auto meta = BuildSyntheticDataset(*rig.dataset_store, dataset);
   EXPECT_TRUE(meta.ok()) << meta.status().ToString();
@@ -435,6 +441,90 @@ TEST(ServicePrefetchTest, WindowZeroKeepsDemandPathIdentical) {
   ServiceStats service_stats = rig.service->stats();
   EXPECT_EQ(service_stats.speculative_batches, 0u);
   EXPECT_EQ(service_stats.batches_served, 2u);
+}
+
+// One pool, every blocking path at once: demand MaterializeAsync units and
+// readahead race background pre-materialization on a single worker with a
+// tenant cap of 1 (all in-process work is tenant 0), and views span several
+// GOPs, so batch jobs and GOP-slice subtasks all block in the scheduler's
+// join. Nothing may hang, and every batch must match a demand-only service
+// built from the same plan seed.
+TEST(ServicePrefetchTest, OneWorkerJoinNeverDeadlocks) {
+  constexpr int kGop = 2;
+  ServiceOptions reference_options = DemandOptions();
+  reference_options.prefetch.window = 0;
+  ServiceRig reference = MakeServiceRig(reference_options, kGop);
+  std::vector<std::string> views;
+  std::map<std::string, std::vector<uint8_t>> want;
+  for (int64_t epoch = 0; epoch < reference_options.total_epochs; ++epoch) {
+    auto iterations = reference.service->ListChildren(StrFormat("/train/%lld",
+                                                                static_cast<long long>(epoch)));
+    ASSERT_TRUE(iterations.ok());
+    for (const std::string& iteration : *iterations) {
+      views.push_back(StrFormat("/train/%lld/%s/view", static_cast<long long>(epoch),
+                                iteration.c_str()));
+      auto bytes = ReadView(reference.service->fs(), views.back());
+      ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+      want[views.back()] = **bytes;
+    }
+  }
+
+  ServiceOptions options = DemandOptions();
+  options.pre_materialize = true;
+  options.num_threads = 1;
+  options.prefetch.window = 2;
+  ServiceRig rig = MakeServiceRig(options, kGop);
+  rig.service->SetTenantRunningCap(0, 1);
+
+  // The watchdog turns a hang into a failure of this test.
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool finished = false;
+  std::thread watchdog([&] {
+    std::unique_lock<std::mutex> lock(mutex);
+    if (!cv.wait_for(lock, std::chrono::seconds(60), [&] { return finished; })) {
+      std::fprintf(stderr, "OneWorkerJoinNeverDeadlocks: no finish in 60 s, the pool hung\n");
+      std::abort();
+    }
+  });
+
+  SandFs& fs = rig.service->fs();
+  std::thread reader([&] {
+    auto session = fs.Open("/train");
+    ASSERT_TRUE(session.ok());
+    for (const std::string& view : views) {
+      auto bytes = ReadView(fs, view);
+      ASSERT_TRUE(bytes.ok()) << view << ": " << bytes.status().ToString();
+      EXPECT_EQ(**bytes, want[view]) << view;
+    }
+    ASSERT_TRUE(fs.Close(*session).ok());
+  });
+  std::thread demand([&] {
+    std::vector<std::pair<std::string, Future<SharedBytes>>> pending;
+    for (auto it = views.rbegin(); it != views.rend(); ++it) {
+      auto view = ViewPath::Parse(*it);
+      ASSERT_TRUE(view.ok());
+      pending.emplace_back(*it, rig.service->MaterializeAsync(*view, /*speculative=*/false));
+    }
+    for (auto& [view, future] : pending) {
+      auto bytes = future.Get();
+      ASSERT_TRUE(bytes.ok()) << view << ": " << bytes.status().ToString();
+      EXPECT_EQ(**bytes, want[view]) << view;
+    }
+  });
+  reader.join();
+  demand.join();
+  rig.service->WaitForBackgroundWork();
+  ServiceStats stats = rig.service->stats();
+  rig.service->Shutdown();
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    finished = true;
+  }
+  cv.notify_all();
+  watchdog.join();
+  EXPECT_GT(stats.async_units, 0u);
+  EXPECT_GT(stats.exec.parallel_slices, 0u) << "views must span several GOPs";
 }
 
 }  // namespace

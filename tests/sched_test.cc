@@ -318,5 +318,146 @@ TEST(SchedulerTest, CappedTenantDoesNotStarveOthers) {
   EXPECT_GE(scheduler.stats().capped_skips, 1u);
 }
 
+// --- Group join (RunAll) -----------------------------------------------------
+
+// Keeps the running maximum of a concurrency counter.
+void NoteConcurrency(std::atomic<int>& inflight, std::atomic<int>& max_inflight) {
+  int current = inflight.fetch_add(1) + 1;
+  int seen = max_inflight.load();
+  while (current > seen && !max_inflight.compare_exchange_weak(seen, current)) {
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  inflight.fetch_sub(1);
+}
+
+TEST(SchedulerTest, JoinFromTheOnlyWorkerRunsItsJobsInline) {
+  MaterializationScheduler::Options options;
+  options.num_threads = 1;
+  MaterializationScheduler scheduler(options);
+  std::atomic<int> ran{0};
+  MaterializationJob parent;
+  parent.run = [&scheduler, &ran] {
+    std::vector<MaterializationJob> children;
+    for (int i = 0; i < 4; ++i) {
+      children.push_back(MaterializationScheduler::Subtask([&ran] { ran.fetch_add(1); }));
+    }
+    scheduler.RunAll(std::move(children));  // would hang if it only waited
+    ran.fetch_add(10);
+  };
+  ASSERT_TRUE(scheduler.Submit(std::move(parent)).ok());
+  scheduler.WaitIdle();
+  EXPECT_EQ(ran.load(), 14);
+  // Each job is booked once, whichever thread ran it.
+  EXPECT_EQ(scheduler.stats().jobs_run, 5u);
+}
+
+TEST(SchedulerTest, SubtaskInheritsTheRunningJobsClass) {
+  MaterializationScheduler::Options options;
+  options.num_threads = 2;
+  MaterializationScheduler scheduler(options);
+  MaterializationJob seen;
+  MaterializationJob parent;
+  parent.deadline = 17;
+  parent.speculative = true;
+  parent.ctx.tenant_id = 3;
+  parent.run = [&seen] { seen = MaterializationScheduler::Subtask([] {}); };
+  ASSERT_TRUE(scheduler.Submit(std::move(parent)).ok());
+  scheduler.WaitIdle();
+  EXPECT_EQ(seen.deadline, 17);
+  EXPECT_TRUE(seen.speculative);
+  EXPECT_FALSE(seen.demand_feeding);
+  EXPECT_EQ(seen.ctx.tenant_id, 3u);
+  // Outside any job a subtask is demand work.
+  EXPECT_TRUE(MaterializationScheduler::Subtask([] {}).demand_feeding);
+}
+
+TEST(SchedulerTest, JoinedJobsStayWithinTheTenantCap) {
+  MaterializationScheduler::Options options;
+  options.num_threads = 4;
+  MaterializationScheduler scheduler(options);
+  scheduler.SetTenantRunningCap(1, 1);
+  std::atomic<int> inflight{0};
+  std::atomic<int> max_inflight{0};
+  for (int p = 0; p < 3; ++p) {
+    MaterializationJob parent;
+    parent.ctx.tenant_id = 1;
+    parent.run = [&] {
+      std::vector<MaterializationJob> children;
+      for (int i = 0; i < 4; ++i) {
+        children.push_back(MaterializationScheduler::Subtask(
+            [&inflight, &max_inflight] { NoteConcurrency(inflight, max_inflight); }));
+      }
+      scheduler.RunAll(std::move(children));
+    };
+    ASSERT_TRUE(scheduler.Submit(std::move(parent)).ok());
+  }
+  scheduler.WaitIdle();
+  EXPECT_EQ(max_inflight.load(), 1) << "inline joins must not widen a capped tenant";
+  EXPECT_EQ(scheduler.stats().jobs_run_by_tenant[1], 15u);
+}
+
+TEST(SchedulerTest, OutsideJoinWaitsForWorkers) {
+  MaterializationScheduler::Options options;
+  options.num_threads = 2;
+  MaterializationScheduler scheduler(options);
+  std::atomic<int> inflight{0};
+  std::atomic<int> max_inflight{0};
+  std::vector<MaterializationJob> jobs;
+  for (int i = 0; i < 8; ++i) {
+    jobs.push_back(MaterializationScheduler::Subtask(
+        [&inflight, &max_inflight] { NoteConcurrency(inflight, max_inflight); }));
+  }
+  scheduler.RunAll(std::move(jobs));
+  EXPECT_EQ(inflight.load(), 0);
+  EXPECT_LE(max_inflight.load(), 2) << "only the pool's workers run an outsider's jobs";
+  EXPECT_EQ(scheduler.stats().jobs_run, 8u);
+}
+
+TEST(SchedulerTest, HelpOnceRunsAQueuedSubtaskOfTheSameTenant) {
+  MaterializationScheduler::Options options;
+  options.num_threads = 1;
+  MaterializationScheduler scheduler(options);
+  EXPECT_FALSE(scheduler.HelpOnce()) << "outside the pool there is nothing to help with";
+  std::atomic<int> ran{0};
+  bool helped_other_tenant = true;
+  bool helped_own = false;
+  bool helped_empty = true;
+  MaterializationJob waiter;
+  waiter.ctx.tenant_id = 1;
+  waiter.run = [&] {
+    // Queued behind this job on the one worker: only HelpOnce can run them.
+    MaterializationJob other = MaterializationScheduler::Subtask([&ran] { ran.fetch_add(10); });
+    other.ctx.tenant_id = 2;
+    ASSERT_TRUE(scheduler.Submit(std::move(other)).ok());
+    ASSERT_TRUE(scheduler.Submit(MaterializationScheduler::Subtask([&ran] { ran.fetch_add(1); }))
+                    .ok());
+    helped_own = scheduler.HelpOnce();
+    helped_empty = scheduler.HelpOnce();  // the other tenant's subtask stays queued
+    helped_other_tenant = ran.load() >= 10;
+  };
+  ASSERT_TRUE(scheduler.Submit(std::move(waiter)).ok());
+  scheduler.WaitIdle();
+  EXPECT_TRUE(helped_own);
+  EXPECT_FALSE(helped_empty);
+  EXPECT_FALSE(helped_other_tenant);
+  EXPECT_EQ(ran.load(), 11);
+  EXPECT_EQ(scheduler.stats().jobs_run, 3u);
+}
+
+TEST(SchedulerTest, SubmitAfterShutdownIsRefused) {
+  MaterializationScheduler scheduler(MaterializationScheduler::Options{});
+  scheduler.Shutdown();
+  bool ran = false;
+  MaterializationJob job;
+  job.run = [&ran] { ran = true; };
+  EXPECT_EQ(scheduler.Submit(std::move(job)).code(), ErrorCode::kFailedPrecondition);
+  EXPECT_FALSE(ran);
+  // A join still completes: its jobs run on the caller.
+  std::vector<MaterializationJob> jobs;
+  jobs.push_back(MaterializationScheduler::Subtask([&ran] { ran = true; }));
+  scheduler.RunAll(std::move(jobs));
+  EXPECT_TRUE(ran);
+}
+
 }  // namespace
 }  // namespace sand

@@ -301,14 +301,15 @@ TEST(TraceContextTest, SpeculativePrefetchGetsFreshRootsAndAttribution) {
 TEST(TraceContextTest, SaturatedPoolFallsBackToInlineSpan) {
   ServiceOptions options = DemandOptions();
   options.prefetch.window = 0;    // keep speculation out of the pool
-  options.async_threads = 1;      // one worker...
-  options.async_queue_depth = 1;  // ...and a one-deep queue (0 clamps to 1)
+  options.num_threads = 1;        // one worker...
+  options.async_queue_depth = 1;  // ...and one unit in flight (0 clamps to 1)
   ServiceRig rig = MakeServiceRig(options);
   Tracer::Get().Clear();
 
-  // Saturate: the first demand unit occupies the worker (a batch
-  // materialization takes milliseconds), the second fills the queue, so
-  // the third must refuse submission and compute inline on this thread.
+  // Saturate: the first demand unit is admitted and stays in flight until
+  // its batch is assembled (milliseconds, on the one worker), so the
+  // second is over the in-flight bound and must compute inline on this
+  // thread; the third is admitted or inline depending on the first.
   std::vector<Future<SharedBytes>> pending;
   uint64_t root_trace = 0;
   {

@@ -23,6 +23,13 @@ cmake --build "$BUILD_DIR" -j"$(nproc)"
 echo "==== ctest ===="
 (cd "$BUILD_DIR" && ctest --output-on-failure -j"$(nproc)")
 
+# The one CPU pool's join and the async admission count are timing
+# dependent: repeat their tests so a rare deadlock or admission race fails
+# here instead of in some later run.
+echo "==== ctest repeat (pool join + async admission) ===="
+(cd "$BUILD_DIR" && ctest --output-on-failure -R 'sched_test|core_test|prefetch_test|trace_context_test' \
+    --repeat until-fail:10)
+
 echo "==== kernel smoke (bench_micro_kernels --smoke) ===="
 cmake --build "$BUILD_DIR" -j"$(nproc)" --target bench_micro_kernels
 "$BUILD_DIR/bench/bench_micro_kernels" --smoke

@@ -3,9 +3,11 @@
 # them. Covers the circuit breaker's CAS-claimed reprobe slot
 # (common_test), the sharded stores / tiered cache (storage_test,
 # object_path_test), the executor + scheduler paths (core_test,
-# sched_test), the lock-free metrics/trace ring (obs_test), and the
-# async demand path / prefetcher (prefetch_test), the GOP-parallel
-# decode path (codec_test: slice decoders fanned out on a WorkerPool),
+# sched_test: the one CPU pool, its group join with inline runs, tenant
+# caps), the lock-free metrics/trace ring (obs_test), the async demand
+# path / prefetcher as scheduler jobs, including the one-worker
+# join-deadlock test (prefetch_test), the GOP-parallel decode path
+# (codec_test: slice decoders fanned out on a WorkerPool),
 # the fault-injection / disk-degradation machinery
 # (fault_injection_test: retry + circuit-breaker state under chaos),
 # trace-context propagation across pool/future/scheduler hand-offs
